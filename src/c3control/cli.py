@@ -209,6 +209,9 @@ def _summary_as_json(summary: search.SearchSummary) -> str:
 
 
 def cmd_search(args) -> int:
+    if args.n < 0:
+        print(f"error: search depth must be non-negative, got {args.n}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         summary = search.map_reduce_search(
             args.n,

@@ -7,7 +7,7 @@ scheme for choosing global orders.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import LinearizationFailedError, NotLinearExtensionError
@@ -185,8 +185,4 @@ def compute_sort_keys(p: Poset, important: Sequence[int]) -> SortKeyResult:
     order = tuple(
         sorted(range(p.n), key=lambda x: (keys[x].flags, keys[x].counter), reverse=True)
     )
-    try:
-        is_ext = p.is_linear_extension(order)
-    except Exception:  # pragma: no cover - order is always a permutation
-        is_ext = False
-    return SortKeyResult(keys=keys, order=order, is_extension=is_ext)
+    return SortKeyResult(keys=keys, order=order, is_extension=p.is_linear_extension(order))

@@ -10,7 +10,7 @@ search module consumes failures in bulk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, Sequence
 
@@ -141,37 +141,55 @@ def c3_mro(
 
     Returns the MRO tuple or a MergeFailure tagged with the element at
     which the merge got stuck.  ``cache`` memoizes per (poset, assignment)
-    computation and must never be shared across assignments.
+    computation and must never be shared across assignments.  Raises
+    ValueError when the precedence lists are cyclic.
     """
     if cache is None:
         cache = {}
-
-    def mro_of(x: int):
-        hit = cache.get(x)
-        if hit is not None:
-            return hit
+    hit = cache.get(c)
+    if hit is not None:
+        return hit
+    # Depth-first over precedence lists with an explicit stack of
+    # (element, index of the next listed element to resolve), so deep
+    # hierarchies cannot exhaust the interpreter's recursion limit.  A
+    # failure is cached at the element where the merge got stuck and at
+    # every element whose lists lead there, as one shared value.
+    frames: list[list] = [[c, 0]]
+    on_stack = {c}
+    while frames:
+        frame = frames[-1]
+        x, i = frame
         listed = assignment[x]
-        if listed:
-            inputs = []
-            for b in listed:
-                sub = mro_of(b)
-                if isinstance(sub, MergeFailure):
-                    cache[x] = sub
-                    return sub
-                inputs.append(sub)
+        sub = None
+        while i < len(listed):
+            sub = cache.get(listed[i])
+            if sub is None or isinstance(sub, MergeFailure):
+                break
+            i += 1
+        if isinstance(sub, MergeFailure):
+            value = sub
+        elif i < len(listed):
+            frame[1] = i
+            b = listed[i]
+            if b in on_stack:
+                raise ValueError(f"precedence lists are cyclic at {p.names[b]}")
+            on_stack.add(b)
+            frames.append([b, 0])
+            continue
+        elif listed:
+            inputs = [cache[b] for b in listed]
             inputs.append(listed)
             merged = c3_merge(inputs, counter)
             if isinstance(merged, MergeFailure):
-                merged = MergeFailure(merged.processed, merged.remaining, at=x)
-                cache[x] = merged
-                return merged
-            value = (x, *merged)
+                value = MergeFailure(merged.processed, merged.remaining, at=x)
+            else:
+                value = (x, *merged)
         else:
             value = (x,)
         cache[x] = value
-        return value
-
-    return mro_of(c)
+        on_stack.remove(x)
+        frames.pop()
+    return cache[c]
 
 
 def _order_positions(p: Poset, order: Sequence[int]) -> dict[int, int]:

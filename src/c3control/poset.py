@@ -64,24 +64,28 @@ class Poset:
         self._check_reduced()
 
     def _check_acyclic(self) -> None:
+        # Depth-first search with an explicit stack of cover iterators, so
+        # long chains cannot exhaust the interpreter's recursion limit.
         state = [0] * self.n  # 0 unseen, 1 on stack, 2 done
-        stack_path: list[int] = []
-
-        def visit(x: int) -> None:
-            state[x] = 1
-            stack_path.append(x)
-            for y in self._upper[x]:
-                if state[y] == 1:
-                    cycle = stack_path[stack_path.index(y):] + [y]
-                    raise CycleError([self.names[z] for z in cycle])
-                if state[y] == 0:
-                    visit(y)
-            stack_path.pop()
-            state[x] = 2
-
-        for x in range(self.n):
-            if state[x] == 0:
-                visit(x)
+        for root in range(self.n):
+            if state[root]:
+                continue
+            state[root] = 1
+            stack_path = [root]
+            pending = [iter(self._upper[root])]
+            while pending:
+                for y in pending[-1]:
+                    if state[y] == 1:
+                        cycle = stack_path[stack_path.index(y):] + [y]
+                        raise CycleError([self.names[z] for z in cycle])
+                    if state[y] == 0:
+                        state[y] = 1
+                        stack_path.append(y)
+                        pending.append(iter(self._upper[y]))
+                        break
+                else:
+                    pending.pop()
+                    state[stack_path.pop()] = 2
 
     def _closure(self, neigh) -> tuple[int, ...]:
         # Reflexive reachability bitmasks, computed in reverse topological
@@ -281,73 +285,80 @@ class Poset:
     def canonical_form(self) -> bytes:
         """An isomorphism-invariant key: equal iff the posets are isomorphic.
 
-        Iterative partition refinement on degree/level signatures, then a
-        backtracking minimum over the remaining within-cell permutations of
-        the relabeled cover set.
+        See ``canonical_key``, which computes it from the cover structure.
         """
-        n = self.n
-        if n == 0:
-            return b"\x00"
-        if n > 255:
-            raise ValueError("canonical_form supports at most 255 elements")
+        return canonical_key(
+            self.n, self.covers, self._upper, self._lower, self._up_mask, self._down_mask
+        )
 
-        up_len = [bin(self._up_mask[x]).count("1") for x in range(n)]
-        down_len = [bin(self._down_mask[x]).count("1") for x in range(n)]
-        sig = [
-            (len(self._upper[x]), len(self._lower[x]), up_len[x], down_len[x])
+
+def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> bytes:
+    """Canonical form of the poset on ``0..n-1`` with the given cover pairs,
+    upper and lower cover lists and reflexive up-/down-set bitmasks.
+
+    Iterative partition refinement on degree/level signatures, then a
+    backtracking minimum over the remaining within-cell permutations of
+    the relabeled cover set.  Callers that already hold the cover
+    structure (the search traversal) use it without building a Poset.
+    """
+    if n == 0:
+        return b"\x00"
+    if n > 255:
+        raise ValueError("canonical_form supports at most 255 elements")
+
+    sig = [
+        (len(upper[x]), len(lower[x]), up_mask[x].bit_count(), down_mask[x].bit_count())
+        for x in range(n)
+    ]
+    color = _rank(sig)
+    while True:
+        sig2 = [
+            (
+                color[x],
+                tuple(sorted(color[y] for y in upper[x])),
+                tuple(sorted(color[y] for y in lower[x])),
+            )
             for x in range(n)
         ]
-        color = _rank(sig)
-        while True:
-            sig2 = [
-                (
-                    color[x],
-                    tuple(sorted(color[y] for y in self._upper[x])),
-                    tuple(sorted(color[y] for y in self._lower[x])),
-                )
-                for x in range(n)
-            ]
-            color2 = _rank(sig2)
-            if color2 == color:
-                break
-            color = color2
+        color2 = _rank(sig2)
+        if color2 == color:
+            break
+        color = color2
 
-        cells: dict[int, list[int]] = {}
-        for x in range(n):
-            cells.setdefault(color[x], []).append(x)
-        ordered_cells = [cells[c] for c in sorted(cells)]
+    cells: dict[int, list[int]] = {}
+    for x in range(n):
+        cells.setdefault(color[x], []).append(x)
+    ordered_cells = [cells[c] for c in sorted(cells)]
 
-        covers = sorted(self.covers)
-        pos = [0] * n
-        best: list[tuple[int, int]] | None = None
+    covers = sorted(covers)
+    pos = [0] * n
+    best: list[tuple[int, int]] | None = None
 
-        def assign(cell_idx: int, offset: int) -> None:
-            nonlocal best
-            if cell_idx == len(ordered_cells):
-                enc = sorted((pos[c], pos[a]) for c, a in covers)
-                if best is None or enc < best:
-                    best = enc
-                return
-            cell = ordered_cells[cell_idx]
-            for perm in permutations(cell):
-                for i, x in enumerate(perm):
-                    pos[x] = offset + i
-                assign(cell_idx + 1, offset + len(cell))
+    def assign(cell_idx: int, offset: int) -> None:
+        nonlocal best
+        if cell_idx == len(ordered_cells):
+            enc = sorted((pos[c], pos[a]) for c, a in covers)
+            if best is None or enc < best:
+                best = enc
+            return
+        cell = ordered_cells[cell_idx]
+        for perm in permutations(cell):
+            for i, x in enumerate(perm):
+                pos[x] = offset + i
+            assign(cell_idx + 1, offset + len(cell))
 
-        if all(len(cell) == 1 for cell in ordered_cells):
-            off = 0
-            for cell in ordered_cells:
-                pos[cell[0]] = off
-                off += 1
-            best = sorted((pos[c], pos[a]) for c, a in covers)
-        else:
-            assign(0, 0)
+    if len(ordered_cells) == n:
+        for off, cell in enumerate(ordered_cells):
+            pos[cell[0]] = off
+        best = sorted((pos[c], pos[a]) for c, a in covers)
+    else:
+        assign(0, 0)
 
-        out = bytearray([n])
-        for c, a in best:
-            out.append(c)
-            out.append(a)
-        return bytes(out)
+    out = bytearray([n])
+    for c, a in best:
+        out.append(c)
+        out.append(a)
+    return bytes(out)
 
 
 def _rank(signatures: list) -> list[int]:

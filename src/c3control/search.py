@@ -4,19 +4,23 @@ The tree of posets admitting the identity labeling as linear extension is
 traversed recursively without materializing a level: the children of a
 poset on k elements are obtained by picking each of its antichains in
 turn and adding element k as an upper cover of the antichain members.
-Each depth-n poset gets a bottom element adjoined and C3 is run for every
-linear extension with the induced (cover-only, extension-sorted)
-precedence lists; results are aggregated per isomorphism class.
+Each depth-n node is reduced to its canonical key, computed from the
+traversal's own cover tuple and bitmasks.  The C3 experiment (adjoin a
+bottom element, run C3 for every linear extension with the induced
+cover-only, extension-sorted precedence lists) depends only on the
+isomorphism class, so it runs once per class, and a class's counts are
+its labeled count times that one result.  A budget bounds the labeled
+posets visited over the whole search.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import ResourceLimitError
-from .poset import Poset
+from .poset import Poset, canonical_key
 
 DEFAULT_BUDGET = 10_000_000
 _SPLIT_DEPTH = 4
@@ -253,48 +257,72 @@ def _light_nodes_at_depth(node, depth: int) -> Iterator[tuple]:
 _LIGHT_ROOT = (0, (), (), ())
 
 
-def _aggregate_subtree(node, depth: int, budget: int) -> dict:
-    """Map run_experiment over the depth-`depth` posets below `node` and
-    reduce per canonical key."""
+def _aggregate_subtree(node, depth: int, budget: int, memo: dict) -> tuple[dict, int]:
+    """Reduce the depth-`depth` posets below `node` per canonical key.
+
+    Returns ``(aggregate, visited)``: the aggregate maps each key to
+    ``[labeled_count, extensions, failures, covers]``, where extensions and
+    failures are the experiment's result for one member of the class
+    (isomorphic posets give equal results) and covers is the smallest
+    generation-order cover tuple among the members seen; visited counts
+    the labeled posets.  The experiment runs once per key not yet in
+    ``memo``, on a Poset built only for that purpose.
+    """
     agg: dict[bytes, list] = {}
     count = 0
-    for k, covers, _up, _down in _light_nodes_at_depth(node, depth):
+    for k, covers, up, down in _light_nodes_at_depth(node, depth):
         count += 1
         if count > budget:
-            raise ResourceLimitError(
-                f"experiment budget {budget} exceeded at depth {depth}"
-            )
-        p = Poset(k, covers)
-        exts, fails = _c3_all_fail_counts(p)
-        key = p.canonical_form()
+            raise _budget_error(budget, depth)
+        upper: list[list[int]] = [[] for _ in range(k)]
+        lower: list[list[int]] = [[] for _ in range(k)]
+        for c, a in covers:
+            upper[c].append(a)
+            lower[a].append(c)
+        key = canonical_key(k, covers, upper, lower, up, down)
         entry = agg.get(key)
-        if entry is None:
-            agg[key] = [1, exts, fails, covers]
-        else:
+        if entry is not None:
             entry[0] += 1
-            entry[1] += exts
-            entry[2] += fails
             if covers < entry[3]:
                 entry[3] = covers
-    return agg
+            continue
+        result = memo.get(key)
+        if result is None:
+            result = memo[key] = _c3_all_fail_counts(Poset(k, covers))
+        agg[key] = [1, *result, covers]
+    return agg, count
+
+
+def _budget_error(budget: int, depth: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"budget of {budget} labeled posets exceeded at depth {depth}"
+    )
 
 
 def _merge_aggregates(target: dict, other: dict) -> None:
     for key, entry in other.items():
         mine = target.get(key)
         if mine is None:
-            target[key] = list(entry)
+            target[key] = entry
         else:
             mine[0] += entry[0]
-            mine[1] += entry[1]
-            mine[2] += entry[2]
             if entry[3] < mine[3]:
                 mine[3] = entry[3]
 
 
-def _worker(args) -> dict:
+# Experiment results of the worker process, keyed by canonical form; each
+# pool starts its workers with an empty one.
+_worker_memo: dict = {}
+
+
+def _init_worker() -> None:
+    global _worker_memo
+    _worker_memo = {}
+
+
+def _worker(args) -> tuple[dict, int]:
     node, depth, budget = args
-    return _aggregate_subtree(node, depth, budget)
+    return _aggregate_subtree(node, depth, budget, _worker_memo)
 
 
 def map_reduce_search(
@@ -303,13 +331,15 @@ def map_reduce_search(
     budget: int = DEFAULT_BUDGET,
     allow_large: bool = False,
 ) -> SearchSummary:
-    """Traverse the poset tree to depth ``n``, run the C3 experiment on
-    every node, and aggregate per isomorphism class.
+    """Traverse the poset tree to depth ``n``, run the C3 experiment once
+    per isomorphism class, and aggregate per class: a class's extension
+    and failure counts are its labeled count times one member's result.
 
     The result is independent of ``workers``.  Depths 8 and above are
     rejected unless ``allow_large`` is set (the n=9 run takes days on a
-    single CPU); the experiment budget guards accidental blowups and is
-    enforced per worker.
+    single CPU).  ``budget`` bounds the number of labeled posets visited
+    (not experiments run) over the whole search, whatever the number of
+    workers; exceeding it raises ResourceLimitError.
     """
     if n < 0:
         raise ValueError("depth must be non-negative")
@@ -320,27 +350,31 @@ def map_reduce_search(
 
     split = min(_SPLIT_DEPTH, n)
     if workers <= 1 or n <= split:
-        agg = _aggregate_subtree(_LIGHT_ROOT, n, budget)
+        agg, _ = _aggregate_subtree(_LIGHT_ROOT, n, budget, {})
     else:
         tasks = [
             (node, n, budget)
             for node in _light_nodes_at_depth(_LIGHT_ROOT, split)
         ]
         agg = {}
+        visited = 0
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            for part in pool.imap_unordered(_worker, tasks):
+        with ctx.Pool(workers, initializer=_init_worker) as pool:
+            for part, count in pool.imap_unordered(_worker, tasks):
+                visited += count
+                if visited > budget:
+                    raise _budget_error(budget, n)
                 _merge_aggregates(agg, part)
 
     records = tuple(
         SearchRecord(
             canonical_key=key,
-            extension_count=entry[1],
-            failure_count=entry[2],
-            labeled_count=entry[0],
-            representative=Poset(n, entry[3]),
+            extension_count=labeled * exts,
+            failure_count=labeled * fails,
+            labeled_count=labeled,
+            representative=Poset(n, covers),
         )
-        for key, entry in sorted(agg.items())
+        for key, (labeled, exts, fails, covers) in sorted(agg.items())
     )
     return SearchSummary(
         n=n,

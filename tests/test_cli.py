@@ -151,6 +151,20 @@ def test_search_budget(capsys):
     assert "budget" in err
 
 
+def test_search_budget_independent_of_jobs(capsys):
+    for jobs in ("1", "2"):
+        code, _, err = run(capsys, "search", "6", "--budget", "1000", "--jobs", jobs)
+        assert code == EXIT_DOMAIN
+        assert "budget" in err
+
+
+def test_search_negative_depth_is_input_error(capsys):
+    code, out, err = run(capsys, "search", "-1")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_demo_h_quiet(capsys):
     code, out, _ = run(capsys, "demo-h", "--quiet")
     assert code == EXIT_OK

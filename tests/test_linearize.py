@@ -238,3 +238,17 @@ def test_cpython_agrees_on_h():
     p = poset_h()
     for ext in p.linear_extensions():
         _assert_matches_python(p, induced_assignment(p, ext))
+
+
+def test_long_chain_without_recursion_limit():
+    # Construction and MRO computation are iterative: a chain far deeper
+    # than the interpreter's recursion limit builds and linearizes.
+    n = 3000
+    p = Poset(n, [(i, i + 1) for i in range(n - 1)])
+    assert c3_mro(p, induced_assignment(p, range(n)), 0) == tuple(range(n))
+
+
+def test_cyclic_lists_rejected():
+    p = Poset(2, [])
+    with pytest.raises(ValueError, match="cyclic"):
+        c3_mro(p, {0: (1,), 1: (0,)}, 0)

@@ -27,6 +27,13 @@ def test_cycle_rejected():
     assert len(exc.value.witness) >= 2
 
 
+def test_long_cycle_witness():
+    n = 3000
+    with pytest.raises(CycleError) as exc:
+        Poset(n, [(i, (i + 1) % n) for i in range(n)])
+    assert exc.value.witness == [str(i) for i in range(n)] + ["0"]
+
+
 def test_transitive_edge_rejected():
     with pytest.raises(NotReducedError) as exc:
         Poset(3, [(2, 1), (1, 0), (2, 0)])

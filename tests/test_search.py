@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c3control import (
     MergeFailure,
@@ -96,6 +98,16 @@ def test_budget_enforced():
         map_reduce_search(5, budget=10)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_budget_is_global(workers):
+    # The budget counts labeled posets visited over the whole search:
+    # 4,824 at n = 6, however the tree is split among workers.
+    with pytest.raises(ResourceLimitError):
+        map_reduce_search(6, workers=workers, budget=1000)
+    summary = map_reduce_search(6, workers=workers, budget=4824)
+    assert summary.labeled_poset_count == 4824
+
+
 def test_large_depth_gated():
     with pytest.raises(ResourceLimitError):
         map_reduce_search(8)
@@ -130,3 +142,56 @@ def test_representatives_have_reported_size():
         assert isinstance(r.representative, Poset)
         assert r.representative.n == 4
         assert r.representative.canonical_form() == r.canonical_key
+
+
+@st.composite
+def posets_with_permutation(draw):
+    """A random poset on up to 7 elements and a permutation of its ids."""
+    n = draw(st.integers(0, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    related = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    up = [1 << i for i in range(n)]  # reflexive up-sets; i < j may hold
+    for (i, j), rel in sorted(zip(pairs, related), reverse=True):
+        if rel:
+            up[i] |= up[j]
+    covers = [
+        (i, j)
+        for i, j in pairs
+        if up[i] >> j & 1
+        and not any(up[i] >> k & 1 and up[k] >> j & 1 for k in range(i + 1, j))
+    ]
+    return Poset(n, covers), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(posets_with_permutation())
+def test_experiment_is_isomorphism_invariant(case):
+    # The search runs the experiment once per canonical key; that is
+    # sound only because relabeling changes none of these fields.
+    p, perm = case
+    a = run_experiment(p)
+    b = run_experiment(p.relabel(perm))
+    assert (a.canonical_key, a.extension_count, a.failure_count) == (
+        b.canonical_key,
+        b.extension_count,
+        b.failure_count,
+    )
+
+
+def test_per_class_totals_match_labeled_experiments():
+    # n = 5 is the first depth with failures.  Every labeled poset is
+    # run on its own here and grouped by key; the search runs one
+    # experiment per class and scales it by the labeled count.
+    direct: dict[bytes, list[int]] = {}
+    for p in posets_of_size(5):
+        r = run_experiment(p)
+        totals = direct.setdefault(r.canonical_key, [0, 0, 0])
+        totals[0] += 1
+        totals[1] += r.extension_count
+        totals[2] += r.failure_count
+    summary = map_reduce_search(5)
+    assert {
+        r.canonical_key: [r.labeled_count, r.extension_count, r.failure_count]
+        for r in summary.records
+    } == direct
+    assert sum(totals[2] for totals in direct.values()) == 24
