@@ -21,6 +21,7 @@ from .errors import (
     C3ControlError,
     CycleError,
     DuplicateNameError,
+    InputError,
     LinearizationFailedError,
     NotAPermutationError,
     NotLinearExtensionError,
@@ -43,12 +44,9 @@ from .poset import Poset, poset_from_covers, poset_h
 from .search import (
     SearchRecord,
     SearchSummary,
-    TreeNode,
     find_infeasible,
     map_reduce_search,
     run_experiment,
-    tree_children,
-    tree_root,
 )
 
 __all__ = [
@@ -56,6 +54,7 @@ __all__ = [
     "C3ControlError",
     "CycleError",
     "DuplicateNameError",
+    "InputError",
     "InstrumentationResult",
     "LinearizationFailedError",
     "MergeFailure",
@@ -69,7 +68,6 @@ __all__ = [
     "SortKey",
     "SortKeyResult",
     "StepCounter",
-    "TreeNode",
     "brute_force_assignment",
     "c3_instrumented",
     "c3_merge",
@@ -87,8 +85,6 @@ __all__ = [
     "poset_from_covers",
     "poset_h",
     "run_experiment",
-    "tree_children",
-    "tree_root",
     "validate_assignment",
 ]
 

@@ -17,6 +17,7 @@ from pathlib import Path
 from . import control, search
 from .errors import (
     C3ControlError,
+    InputError,
     LinearizationFailedError,
     NotLinearExtensionError,
     ResourceLimitError,
@@ -209,9 +210,12 @@ def _summary_as_json(summary: search.SearchSummary) -> str:
 
 
 def cmd_search(args) -> int:
-    if args.n < 0:
-        print(f"error: search depth must be non-negative, got {args.n}", file=sys.stderr)
-        return EXIT_INPUT
+    for what, value, least in (("depth", args.n, 0), ("--jobs", args.jobs, 1),
+                               ("--budget", args.budget, 0)):
+        if value < least:
+            print(f"error: search {what} must be at least {least}, got {value}",
+                  file=sys.stderr)
+            return EXIT_INPUT
     try:
         summary = search.map_reduce_search(
             args.n,
@@ -315,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except HierarchyParseError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except C3ControlError as exc:

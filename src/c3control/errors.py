@@ -5,6 +5,13 @@ class C3ControlError(Exception):
     """Base class for all domain errors."""
 
 
+class InputError(C3ControlError, ValueError):
+    """Malformed input: a bad cover pair, name list or precedence list.
+
+    Also a ValueError, which callers caught before this class existed.
+    """
+
+
 class CycleError(C3ControlError):
     """The cover digraph contains a cycle.
 

@@ -11,21 +11,22 @@ Format (one key per line, comments start with '#'):
     precedence: E = D C B
     global_order: E D C B A
 
-Cover direction is fixed as ``cover: SUB SUPER``.  The order in which an
-element's cover lines appear doubles as its default precedence list, the
-way a class statement's base list does; an explicit ``precedence:`` line
-overrides it (and may add extra strict superiors).
+Cover direction is fixed as ``cover: SUB SUPER``, and each cover is
+declared once; a ``global_order`` lists every element once.  The order
+in which an element's cover lines appear doubles as its default
+precedence list, the way a class statement's base list does; an explicit
+``precedence:`` line overrides it (and may add extra strict superiors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import C3ControlError
+from .errors import InputError
 from .poset import Poset
 
 
-class HierarchyParseError(C3ControlError):
+class HierarchyParseError(InputError):
     """The hierarchy file is malformed."""
 
 
@@ -70,6 +71,7 @@ def parse_hierarchy(text: str, source: str = "<string>") -> HierarchyFile:
     name = ""
     elements: list[str] = []
     covers: list[tuple[str, str]] = []
+    seen_covers: set[tuple[str, str]] = set()
     precedence: dict[str, list[str]] = {}
     global_order: list[str] | None = None
 
@@ -92,6 +94,11 @@ def parse_hierarchy(text: str, source: str = "<string>") -> HierarchyFile:
                 raise HierarchyParseError(
                     f"{source}:{lineno}: cover needs exactly two names: {line!r}"
                 )
+            if (parts[0], parts[1]) in seen_covers:
+                raise HierarchyParseError(
+                    f"{source}:{lineno}: duplicate cover: {line!r}"
+                )
+            seen_covers.add((parts[0], parts[1]))
             covers.append((parts[0], parts[1]))
         elif key == "precedence":
             owner, eq, rest = value.partition("=")
@@ -126,6 +133,10 @@ def parse_hierarchy(text: str, source: str = "<string>") -> HierarchyFile:
                 raise HierarchyParseError(
                     f"{source}: unknown element {x!r} in global_order"
                 )
+        if len(global_order) != len(elements) or len(set(global_order)) != len(elements):
+            raise HierarchyParseError(
+                f"{source}: global_order must list every element exactly once"
+            )
     return HierarchyFile(
         name=name,
         elements=elements,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, Sequence
 
-from .errors import AmbiguityError, NotAPermutationError
+from .errors import AmbiguityError, InputError, NotAPermutationError
 from .poset import Poset
 
 Assignment = Mapping[int, tuple[int, ...]]
@@ -46,21 +46,22 @@ class StepCounter:
 
 
 def validate_assignment(p: Poset, assignment: Assignment) -> None:
-    """Raise ValueError unless ``assignment`` is a valid precedence map."""
+    """Raise InputError, a ValueError, unless ``assignment`` is a valid
+    precedence map."""
     if set(assignment) != set(range(p.n)):
-        raise ValueError("assignment must have exactly one entry per element")
+        raise InputError("assignment must have exactly one entry per element")
     for c, seq in assignment.items():
         if len(set(seq)) != len(seq):
-            raise ValueError(f"precedence list of {p.names[c]} has duplicates")
+            raise InputError(f"precedence list of {p.names[c]} has duplicates")
         missing = set(p.upper_covers(c)) - set(seq)
         if missing:
-            raise ValueError(
+            raise InputError(
                 f"precedence list of {p.names[c]} misses covers "
                 f"{[p.names[x] for x in sorted(missing)]}"
             )
         for x in seq:
             if not p.lt(c, x):
-                raise ValueError(
+                raise InputError(
                     f"{p.names[x]} is not a strict superior of {p.names[c]}"
                 )
 

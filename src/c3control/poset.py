@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     CycleError,
     DuplicateNameError,
+    InputError,
     NotAPermutationError,
     NotReducedError,
 )
@@ -37,7 +38,7 @@ class Poset:
         else:
             names = tuple(names)
             if len(names) != n:
-                raise ValueError(f"expected {n} names, got {len(names)}")
+                raise InputError(f"expected {n} names, got {len(names)}")
             seen = set()
             for name in names:
                 if name in seen:
@@ -45,7 +46,7 @@ class Poset:
                 seen.add(name)
         for c, a in covers:
             if not (0 <= c < n and 0 <= a < n) or c == a:
-                raise ValueError(f"invalid cover pair ({c}, {a}) for n={n}")
+                raise InputError(f"invalid cover pair ({c}, {a}) for n={n}")
 
         upper = [[] for _ in range(n)]
         lower = [[] for _ in range(n)]
@@ -289,20 +290,31 @@ class Poset:
         """
         return canonical_key(
             self.n, self.covers, self._upper, self._lower, self._up_mask, self._down_mask
-        )
+        )[0]
+
+    @classmethod
+    def from_canonical_key(cls, key: bytes) -> "Poset":
+        """The poset whose cover pairs are those encoded in ``key``; its
+        ``canonical_form()`` is ``key``."""
+        return cls(key[0], zip(key[1::2], key[2::2]))
 
 
-def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> bytes:
-    """Canonical form of the poset on ``0..n-1`` with the given cover pairs,
-    upper and lower cover lists and reflexive up-/down-set bitmasks.
+def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> tuple[bytes, int]:
+    """Canonical form and automorphism count of the poset on ``0..n-1``
+    with the given cover pairs, upper and lower cover lists and reflexive
+    up-/down-set bitmasks.
 
     Iterative partition refinement on degree/level signatures, then a
     backtracking minimum over the remaining within-cell permutations of
-    the relabeled cover set.  Callers that already hold the cover
-    structure (the search traversal) use it without building a Poset.
+    the relabeled cover set.  Every automorphism preserves the cells, and
+    two of these relabelings give the same cover set iff they differ by
+    an automorphism, so the number that reach the minimum is the order of
+    the automorphism group.  Callers that already hold the cover
+    structure (the search's class generator) use it without building a
+    Poset.
     """
     if n == 0:
-        return b"\x00"
+        return b"\x00", 1
     if n > 255:
         raise ValueError("canonical_form supports at most 255 elements")
 
@@ -333,13 +345,17 @@ def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> bytes:
     covers = sorted(covers)
     pos = [0] * n
     best: list[tuple[int, int]] | None = None
+    ties = 1
 
     def assign(cell_idx: int, offset: int) -> None:
-        nonlocal best
+        nonlocal best, ties
         if cell_idx == len(ordered_cells):
             enc = sorted((pos[c], pos[a]) for c, a in covers)
             if best is None or enc < best:
                 best = enc
+                ties = 1
+            elif enc == best:
+                ties += 1
             return
         cell = ordered_cells[cell_idx]
         for perm in permutations(cell):
@@ -358,7 +374,7 @@ def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> bytes:
     for c, a in best:
         out.append(c)
         out.append(a)
-    return bytes(out)
+    return bytes(out), ties
 
 
 def _rank(signatures: list) -> list[int]:

@@ -1,25 +1,31 @@
-"""Shared helpers: enumeration of small posets, realization of a
-hierarchy as CPython classes, and the H example.
+"""Shared helpers: enumeration of small labeled posets, realization of
+a hierarchy as CPython classes, and the H example.
 
-The tree enumeration yields one labeled poset per (poset admitting the
-identity labeling as a most-derived-first linear extension); every
-isomorphism class appears, which is enough for the label-invariant
-properties tested here.
+``posets_of_size`` yields one labeled poset per poset on ``0..n-1`` that
+admits the identity labeling as a most-derived-first linear extension
+(the naturally labeled posets); every isomorphism class appears.  It is
+the oracle the search's class-by-class generation is checked against.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from c3control import Poset, poset_h, tree_children, tree_root
+from c3control import Poset, poset_h
 
 
-def posets_of_size(n: int):
-    """Every tree node at depth ``n``, as Poset objects."""
-    level = [tree_root()]
-    for _ in range(n):
-        level = [child for node in level for child in tree_children(node)]
-    return [node.poset for node in level]
+def posets_of_size(n: int) -> list[Poset]:
+    """Every naturally labeled poset on ``n`` elements: each one on
+    ``k`` elements, with a new maximal element ``k`` covering exactly one
+    of its antichains (the empty one included), for k = 0..n-1."""
+    level = [Poset(0, ())]
+    for k in range(n):
+        level = [
+            Poset(k + 1, [*p.covers, *((x, k) for x in chain)])
+            for p in level
+            for chain in p.antichains()
+        ]
+    return level
 
 
 def python_mros(p: Poset, assignment):

@@ -165,6 +165,37 @@ def test_search_negative_depth_is_input_error(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "flags", [("--jobs", "0"), ("--jobs", "-3"), ("--budget", "-1")]
+)
+def test_search_out_of_range_option_is_input_error(capsys, flags):
+    code, out, err = run(capsys, "search", "5", *flags)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert flags[0] in err
+
+
+MALFORMED = {
+    "list_misses_cover": "elements: A B C\ncover: C A\ncover: C B\nprecedence: C = A\n",
+    "list_has_duplicate": "elements: A B C\ncover: C A\ncover: C B\nprecedence: C = A B A\n",
+    "self_cover": "elements: A B\ncover: A A\n",
+    "not_a_strict_superior": "elements: A B C\ncover: C B\ncover: B A\nprecedence: B = A C\n",
+    "duplicate_cover": "elements: A B\ncover: B A\ncover: B A\n",
+    "global_order_wrong_length": "elements: A B C\ncover: C B\ncover: B A\nglobal_order: C B\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_hierarchy_is_input_error(tmp_path, capsys, case):
+    path = tmp_path / f"{case}.hier"
+    path.write_text(MALFORMED[case])
+    code, out, err = run(capsys, "check", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_demo_h_quiet(capsys):
     code, out, _ = run(capsys, "demo-h", "--quiet")
     assert code == EXIT_OK

@@ -1,6 +1,10 @@
-"""Tree enumeration, the C3 experiment, and the map-reduce search."""
+"""Class generation, the C3 experiment, and the map-reduce search."""
 
 from __future__ import annotations
+
+import time
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,11 +20,10 @@ from c3control import (
     map_reduce_search,
     poset_h,
     run_experiment,
-    tree_children,
-    tree_root,
 )
+from c3control.search import _c3_all_fail_counts, iso_classes, screen_infeasible
 
-from conftest import posets_of_size
+from conftest import posets_of_size, python_mros
 
 LABELED = [1, 1, 2, 7, 40, 357]
 ISO = [1, 1, 2, 5, 16, 63]
@@ -32,15 +35,55 @@ def test_tree_counts_small():
 
 
 def test_tree_children_are_valid_extensions_of_parent():
-    for node in [tree_root()] + tree_children(tree_root()):
-        for child in tree_children(node):
-            assert child.depth == node.depth + 1
-            # dropping the new maximal element recovers the parent
-            back = child.poset.restrict(range(node.depth))
-            assert sorted(back.covers) == sorted(node.poset.covers)
-            assert child.poset.is_linear_extension(
-                tuple(range(child.poset.n))
-            )
+    # The labeled generator's posets on k + 1 elements: element k is
+    # maximal, dropping it recovers one of the posets on k elements, and
+    # the identity stays a linear extension.
+    for k in range(5):
+        parents = {p.covers for p in posets_of_size(k)}
+        for child in posets_of_size(k + 1):
+            assert k in child.maximal_elements()
+            assert child.restrict(range(k)).covers in parents
+            assert child.is_linear_extension(tuple(range(k + 1)))
+
+
+def test_every_class_drops_a_maximal_element_into_the_level_below():
+    # The premise of class-by-class generation: removing any maximal
+    # element of a class on n elements leaves a class on n - 1 elements.
+    for n in range(1, 7):
+        below = {key for key, _ in iso_classes(n - 1)}
+        for key, _ in iso_classes(n):
+            p = Poset.from_canonical_key(key)
+            assert p.canonical_form() == key
+            for m in p.maximal_elements():
+                rest = [x for x in range(n) if x != m]
+                assert p.restrict(rest).canonical_form() in below
+
+
+def _brute_force_automorphisms(p: Poset) -> int:
+    return sum(
+        1
+        for perm in permutations(range(p.n))
+        if {(perm[c], perm[a]) for c, a in p.covers} == p.covers
+    )
+
+
+def test_automorphism_counts_match_brute_force():
+    for n in range(7):
+        for key, automorphisms in iso_classes(n):
+            p = Poset.from_canonical_key(key)
+            assert automorphisms == _brute_force_automorphisms(p), key
+            # canonical_form computes the same key for any labeling
+            relabeled = p.relabel(list(reversed(range(n))))
+            assert relabeled.canonical_form() == key
+
+
+def test_labeled_counts_match_labeled_generator():
+    # e / |Aut| naturally labeled members per class, against the labeled
+    # generator's posets grouped by key.
+    for n in range(7):
+        grouped = Counter(p.canonical_form() for p in posets_of_size(n))
+        summary = map_reduce_search(n)
+        assert {r.canonical_key: r.labeled_count for r in summary.records} == grouped
 
 
 def test_run_experiment_against_direct_c3():
@@ -118,6 +161,45 @@ def test_large_depth_gated():
 def test_find_infeasible_empty_small():
     for n in range(6):
         assert find_infeasible(n) == []
+    assert find_infeasible(7, workers=2) == []
+
+
+def test_screen_stops_only_on_feasible_classes(h_upper):
+    # The screen gives None exactly where some extension succeeds, and
+    # the full counts otherwise.
+    for n in range(7):
+        for key, _ in iso_classes(n):
+            p = Poset.from_canonical_key(key)
+            exts, fails = _c3_all_fail_counts(p)
+            screened = _c3_all_fail_counts(p, screen=True)
+            assert screened == (None if fails < exts else (exts, fails))
+    assert _c3_all_fail_counts(h_upper, screen=True) == (720, 720)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_screen_records_infeasible_classes(h_upper, workers):
+    key = h_upper.canonical_form()
+    classes = [(b"\x00", 1), (key, 6)]
+    (record,) = screen_infeasible(classes, workers=workers)
+    assert record.canonical_key == key
+    assert record.representative.canonical_form() == key
+    # 720 extensions over 6 automorphisms: 120 labeled members
+    assert record.labeled_count == 120
+    assert record.extension_count == record.failure_count == 120 * 720
+
+
+def test_n9_has_one_infeasible_class_h_minus_f(h_upper):
+    # The paper's result: of the 183,231 isomorphism classes of posets on
+    # 9 elements (OEIS A000112), exactly one admits no induced assignment
+    # on which C3 succeeds at an adjoined bottom: H without its bottom F.
+    start = time.perf_counter()
+    classes = iso_classes(9, allow_large=True)
+    infeasible = screen_infeasible(classes)
+    elapsed = time.perf_counter() - start
+    assert len(classes) == 183_231
+    assert [r.canonical_key for r in infeasible] == [h_upper.canonical_form()]
+    assert infeasible[0].infeasible
+    assert elapsed < 600.0, f"n = 9 took {elapsed:.0f} s single-threaded"
 
 
 def test_oracle_never_contradicts_experiment():
@@ -195,3 +277,40 @@ def test_per_class_totals_match_labeled_experiments():
         for r in summary.records
     } == direct
     assert sum(totals[2] for totals in direct.values()) == 24
+
+
+def _cover_only_assignments(p: Poset):
+    """Every assignment listing exactly each element's covers, in every
+    order."""
+    orders = [list(permutations(p.upper_covers(c))) for c in range(p.n)]
+    for choice in product(*orders):
+        yield dict(enumerate(choice))
+
+
+def test_h_fails_on_every_cover_only_assignment(h):
+    # Not only the 720 induced assignments: all 2**6 * 3! = 384 orders of
+    # H's cover lists make C3 and CPython fail at the bottom F.
+    bottom = h.id_of("F")
+    count = 0
+    for a in _cover_only_assignments(h):
+        count += 1
+        assert isinstance(c3_mro(h, a, bottom), MergeFailure)
+        assert python_mros(h, a)[bottom] is None
+    assert count == 384
+
+
+def test_successful_cover_only_assignments_are_induced():
+    # The search tries only induced assignments; the paper's claim covers
+    # every choice of lists.  The two agree because a successful C3 run
+    # respects every local precedence order in the up-set (Barrett et
+    # al., OOPSLA 1996): the lists are those induced by the MRO itself.
+    successes = 0
+    for n in range(7):
+        for key, _ in iso_classes(n):
+            b = Poset.from_canonical_key(key).add_bottom()
+            for a in _cover_only_assignments(b):
+                mro = c3_mro(b, a, 0)
+                if not isinstance(mro, MergeFailure):
+                    successes += 1
+                    assert a == induced_assignment(b, mro)
+    assert successes > 0
