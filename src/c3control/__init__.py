@@ -40,7 +40,7 @@ from .linearize import (
     induced_assignment,
     validate_assignment,
 )
-from .poset import Poset, poset_from_covers, poset_h
+from .poset import Poset, poset_h
 from .search import (
     SearchRecord,
     SearchSummary,
@@ -82,7 +82,6 @@ __all__ = [
     "induced_assignment",
     "map_reduce_search",
     "merge_step_count",
-    "poset_from_covers",
     "poset_h",
     "run_experiment",
     "validate_assignment",

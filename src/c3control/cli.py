@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -298,10 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(sp)
     sp.set_defaults(func=cmd_check)
 
-    default_jobs = int(os.environ.get("C3CONTROL_JOBS", "1"))
     sp = sub.add_parser("search", help="exhaustive C3 experiment over small posets")
     sp.add_argument("n", type=int)
-    sp.add_argument("--jobs", type=int, default=default_jobs)
+    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
     sp.add_argument("--allow-large", action="store_true",
                     help="permit long-running depths (n >= 8)")

@@ -1,7 +1,8 @@
 """Instrumented C3: given a poset and a global order, compute the minimal
 precedence lists that force C3 to reproduce that order; plus the brute
 force baseline, a comparison-count probe, and the bit-flag sort key
-scheme for choosing global orders.
+scheme for choosing global orders.  The replay runs the C3 merge of
+``linearize.merge_kernel``, the one merge loop of the package.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import LinearizationFailedError, NotLinearExtensionError
-from .linearize import MergeFailure, StepCounter, c3_mro
+from .linearize import MergeFailure, StepCounter, c3_mro, merge_kernel
 from .poset import Poset
 
 
@@ -46,7 +47,8 @@ def c3_instrumented(p: Poset, g: Sequence[int]) -> InstrumentationResult:
     to the element's up-set); whenever the first good head deviates from
     the target, the offending element is inserted into the local list at
     its g-sorted position (preceded by the target element if absent) and
-    the merge restarts.
+    the merge restarts.  Each replay is one run of ``merge_kernel``, and
+    its first deviation from the target is the head to insert.
     """
     pos = _require_extension(p, g)
     mros: dict[int, tuple[int, ...]] = {}
@@ -55,32 +57,30 @@ def c3_instrumented(p: Poset, g: Sequence[int]) -> InstrumentationResult:
 
     for c in reversed(g):
         up = p.up_mask(c)
-        target = [x for x in g if up >> x & 1 and x != c]
+        target = tuple(x for x in g if up >> x & 1 and x != c)
         clist = sorted(p.upper_covers(c), key=pos.__getitem__)
         inserted: list[int] = []
 
         while True:
-            restart = False
-            seqs = [list(mros[b]) for b in clist]
+            seqs = [mros[b] for b in clist]
             if clist:
-                seqs.append(list(clist))
-            ptr = [0] * len(seqs)
-            for desired in target:
-                head = _first_good_head(seqs, ptr)
-                if head != desired:
-                    if desired not in clist:
-                        insort(clist, desired, key=pos.__getitem__)
-                        inserted.append(desired)
-                    if head not in clist:
-                        insort(clist, head, key=pos.__getitem__)
-                        inserted.append(head)
-                    restart = True
-                    break
-                for i, s in enumerate(seqs):
-                    if ptr[i] < len(s) and s[ptr[i]] == desired:
-                        ptr[i] += 1
-            if not restart:
+                seqs.append(clist)
+            merged = merge_kernel(seqs, p.n)
+            if merged == target:
                 break
+            emitted = merged.processed if isinstance(merged, MergeFailure) else merged
+            d = 0
+            while d < len(emitted) and emitted[d] == target[d]:
+                d += 1
+            if d == len(emitted):
+                raise AssertionError("instrumented merge found no good head")
+            desired, head = target[d], emitted[d]
+            if desired not in clist:
+                insort(clist, desired, key=pos.__getitem__)
+                inserted.append(desired)
+            if head not in clist:
+                insort(clist, head, key=pos.__getitem__)
+                inserted.append(head)
 
         mros[c] = (c, *target)
         assignment[c] = tuple(clist)
@@ -92,27 +92,6 @@ def c3_instrumented(p: Poset, g: Sequence[int]) -> InstrumentationResult:
         additions=additions,
         total_added=sum(len(v) for v in additions.values()),
     )
-
-
-def _first_good_head(seqs: list[list[int]], ptr: list[int]) -> int:
-    """First good head scanning left to right; the caller guarantees the
-    target element is always available, so a good head always exists."""
-    active = [i for i in range(len(seqs)) if ptr[i] < len(seqs[i])]
-    for i in active:
-        head = seqs[i][ptr[i]]
-        good = True
-        for j in active:
-            if j == i:
-                continue
-            try:
-                seqs[j].index(head, ptr[j] + 1)
-            except ValueError:
-                continue
-            good = False
-            break
-        if good:
-            return head
-    raise AssertionError("instrumented merge found no good head")
 
 
 def brute_force_assignment(p: Poset, g: Sequence[int]) -> dict[int, tuple[int, ...]]:

@@ -6,13 +6,14 @@ class C3ControlError(Exception):
 
 
 class InputError(C3ControlError, ValueError):
-    """Malformed input: a bad cover pair, name list or precedence list.
+    """Malformed input: a bad cover pair or relation, name list or
+    precedence list.
 
     Also a ValueError, which callers caught before this class existed.
     """
 
 
-class CycleError(C3ControlError):
+class CycleError(InputError):
     """The cover digraph contains a cycle.
 
     ``witness`` is a list of element names along the offending cycle.
@@ -23,7 +24,7 @@ class CycleError(C3ControlError):
         super().__init__("cover digraph has a cycle: " + " -> ".join(self.witness))
 
 
-class NotReducedError(C3ControlError):
+class NotReducedError(InputError):
     """A cover pair is implied by a longer path and must be removed."""
 
     def __init__(self, pair):

@@ -6,6 +6,10 @@ duplicate-free tuple that contains every upper cover of the element, and
 may contain additional strict superiors (the relaxation that makes the
 whole control scheme work).  Merge failure is data, not an exception: the
 search module consumes failures in bulk.
+
+``merge_kernel`` is the package's one C3 merge loop: ``c3_merge`` checks
+its input and calls it, and the search's experiment and instrumentation
+call it directly.
 """
 
 from __future__ import annotations
@@ -35,11 +39,14 @@ class MergeFailure:
 
 @dataclass
 class StepCounter:
-    """Counts head-goodness membership tests performed by c3_merge.
+    """Counts the head-goodness tests of a C3 merge.
 
     One unit per (candidate head, other non-exhausted list) tail-membership
-    test: the dominant merge operation, deterministic and machine
-    independent.
+    test, scanning the other lists in input order up to the first whose
+    tail holds the head: the cost of a merge that tests goodness by
+    scanning, deterministic and machine independent.  ``merge_kernel``
+    tests goodness through tail counts and derives this count only when a
+    counter is passed.
     """
 
     comparisons: int = 0
@@ -83,50 +90,93 @@ def c3_merge(
     lists: Sequence[Sequence[int]],
     counter: StepCounter | None = None,
 ):
-    """Merge duplicate-free lists, preserving each list's relative order.
+    """Merge duplicate-free lists of non-negative ints, preserving each
+    list's relative order.
 
     At each step the first good head, scanning input lists left to right,
     is emitted (a head is good when it appears in no other list's tail).
     Returns the merged tuple, or a MergeFailure when no head is good.
     """
-    seqs = [list(l) for l in lists]
+    seqs = [tuple(l) for l in lists if l]
+    size = 0
     for s in seqs:
         if len(set(s)) != len(s):
-            raise ValueError(f"input list {s!r} contains duplicates")
+            raise ValueError(f"input list {list(s)!r} contains duplicates")
+        if not all(isinstance(x, int) and x >= 0 for x in s):
+            raise ValueError(f"input list {list(s)!r} holds a negative or non-int element")
+        size = max(size, max(s) + 1)
+    return merge_kernel(seqs, size, counter)
+
+
+def merge_kernel(
+    seqs: Sequence[Sequence[int]],
+    size: int,
+    counter: StepCounter | None = None,
+):
+    """The C3 merge loop that ``c3_merge``, the search and instrumentation
+    share.  ``seqs`` are non-empty duplicate-free sequences of ids in
+    ``range(size)``; no argument is checked.
+
+    A head is good iff it occurs in no list's tail, so goodness is one
+    lookup in per-id tail-occurrence counts, kept up to date as the list
+    pointers advance.  Returns the merged tuple or a MergeFailure.
+    """
     k = len(seqs)
     ptr = [0] * k
+    lens = [len(s) for s in seqs]
+    tailc = [0] * size
+    for s in seqs:
+        for e in s[1:]:
+            tailc[e] += 1
+    active = k
     result: list[int] = []
-    while True:
-        active = [i for i in range(k) if ptr[i] < len(seqs[i])]
-        if not active:
-            return tuple(result)
+    append = result.append
+    while active:
         chosen = -1
-        for i in active:
-            head = seqs[i][ptr[i]]
-            good = True
-            for j in active:
-                if j == i:
-                    continue
-                if counter is not None:
-                    counter.comparisons += 1
-                try:
-                    seqs[j].index(head, ptr[j] + 1)
-                except ValueError:
-                    continue
-                good = False
-                break
-            if good:
+        for i in range(k):
+            pi = ptr[i]
+            if pi >= lens[i]:
+                continue
+            head = seqs[i][pi]
+            if counter is not None:
+                counter.comparisons += (
+                    _tests_until_blocked(seqs, ptr, lens, i) if tailc[head] else active - 1
+                )
+            if not tailc[head]:
                 chosen = head
                 break
         if chosen < 0:
             return MergeFailure(
                 processed=tuple(result),
-                remaining=tuple(tuple(seqs[i][ptr[i]:]) for i in active),
+                remaining=tuple(
+                    tuple(s[pi:]) for s, pi, n in zip(seqs, ptr, lens) if pi < n
+                ),
             )
-        result.append(chosen)
-        for i in active:
-            if seqs[i][ptr[i]] == chosen:
-                ptr[i] += 1
+        append(chosen)
+        for i in range(k):
+            pi = ptr[i]
+            if pi < lens[i] and seqs[i][pi] == chosen:
+                pi += 1
+                ptr[i] = pi
+                if pi < lens[i]:
+                    tailc[seqs[i][pi]] -= 1
+                else:
+                    active -= 1
+    return tuple(result)
+
+
+def _tests_until_blocked(seqs, ptr, lens, i) -> int:
+    """StepCounter units for the blocked head of list ``i``: one per other
+    active list, in input order, up to the first whose tail holds it.  A
+    good head costs one unit per other active list."""
+    head = seqs[i][ptr[i]]
+    tests = 0
+    for j, s in enumerate(seqs):
+        if j != i and ptr[j] < lens[j]:
+            tests += 1
+            if head in s[ptr[j] + 1:]:
+                break
+    return tests
 
 
 def c3_mro(

@@ -383,19 +383,6 @@ def _rank(signatures: list) -> list[int]:
     return [order[s] for s in signatures]
 
 
-def poset_from_covers(
-    n: int,
-    names: Sequence[str] | None,
-    covers: Iterable[tuple[int, int]],
-) -> Poset:
-    """Build a validated poset from explicit cover pairs.
-
-    Transitively implied pairs are rejected (``NotReducedError``), not
-    silently dropped, and cycles raise ``CycleError`` with a witness.
-    """
-    return Poset(n, covers, names)
-
-
 _H_NAMES = ("A", "B", "C", "D1", "D2", "D3", "E1", "E2", "E3", "F")
 
 _H_COVERS = (

@@ -11,14 +11,15 @@ from its key.
 
 The C3 experiment (adjoin a bottom element, run C3 for every linear
 extension with the induced cover-only, extension-sorted precedence
-lists) depends only on the class, so it runs once per class at the
-target depth.  Its extension count e also counts the class's labeled
-members: a class has e / |Aut| naturally labeled posets (the identity
-is a linear extension), and its extension and failure totals are that
-labeled count times the experiment's result.  A budget bounds the sum of
-the labeled counts.  ``find_infeasible`` screens every class instead,
-stopping at the first extension on which C3 succeeds, and counts in
-full only the classes on which it never does.
+lists, merged by ``linearize.merge_kernel``) depends only on the class,
+so it runs once per class at the target depth.  Its extension count e
+also counts the class's labeled members: a class has e / |Aut| naturally
+labeled posets (the identity is a linear extension), and its extension
+and failure totals are that labeled count times the experiment's
+result.  A budget bounds the sum of the labeled counts.
+``find_infeasible`` screens every class instead, stopping at the first
+extension on which C3 succeeds, and counts in full only the classes on
+which it never does.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import ResourceLimitError
+from .linearize import MergeFailure, merge_kernel
 from .poset import Poset, canonical_key
 
 DEFAULT_BUDGET = 10_000_000
@@ -59,7 +61,7 @@ class SearchSummary:
         return tuple(r for r in self.records if r.infeasible)
 
 
-# -- fast C3 over induced assignments ----------------------------------
+# -- C3 over induced assignments ---------------------------------------
 
 
 class _Feasible(Exception):
@@ -128,7 +130,7 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
             exts += 1
             if multi_min:
                 blist = sorted(minimals, key=revkey, reverse=True)
-                if _fast_merge(mros, blist, n) is None:
+                if isinstance(merge_kernel([*(mros[b] for b in blist), blist], n), MergeFailure):
                     fails += 1
                     return
             if screen:
@@ -150,8 +152,8 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
                 mros[x] = (x, *mros[covs[0]])
             else:
                 lst = sorted(covs, key=revkey, reverse=True)
-                merged = _fast_merge(mros, lst, n)
-                if merged is None:
+                merged = merge_kernel([*(mros[b] for b in lst), lst], n)
+                if isinstance(merged, MergeFailure):
                     pruned = ecount(mask ^ bit)
                     exts += pruned
                     fails += pruned
@@ -164,50 +166,6 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
     except _Feasible:
         return None
     return exts, fails
-
-
-def _fast_merge(mros, lst, n):
-    """C3 merge of the listed elements' MROs plus the list itself.
-    Returns the merged tuple or None on failure.
-
-    A head is good iff its tail-occurrence count is zero, so the goodness
-    test is O(1); counts are maintained as list pointers advance.
-    """
-    seqs = [mros[b] for b in lst]
-    seqs.append(tuple(lst))
-    k = len(seqs)
-    ptr = [0] * k
-    lens = [len(s) for s in seqs]
-    tailc = [0] * n
-    for s in seqs:
-        for e in s[1:]:
-            tailc[e] += 1
-    active = k
-    result: list[int] = []
-    append = result.append
-    while active:
-        chosen = -1
-        for i in range(k):
-            pi = ptr[i]
-            if pi >= lens[i]:
-                continue
-            head = seqs[i][pi]
-            if not tailc[head]:
-                chosen = head
-                break
-        if chosen < 0:
-            return None
-        append(chosen)
-        for i in range(k):
-            pi = ptr[i]
-            if pi < lens[i] and seqs[i][pi] == chosen:
-                pi += 1
-                ptr[i] = pi
-                if pi < lens[i]:
-                    tailc[seqs[i][pi]] -= 1
-                else:
-                    active -= 1
-    return tuple(result)
 
 
 def run_experiment(poset_upper: Poset) -> SearchRecord:

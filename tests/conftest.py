@@ -5,13 +5,15 @@ a hierarchy as CPython classes, and the H example.
 admits the identity labeling as a most-derived-first linear extension
 (the naturally labeled posets); every isomorphism class appears.  It is
 the oracle the search's class-by-class generation is checked against.
+``reference_merge`` is the C3 merge that tests goodness by scanning the
+other lists' tails, the oracle for ``merge_kernel``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from c3control import Poset, poset_h
+from c3control import MergeFailure, Poset, StepCounter, poset_h
 
 
 def posets_of_size(n: int) -> list[Poset]:
@@ -26,6 +28,47 @@ def posets_of_size(n: int) -> list[Poset]:
             for chain in p.antichains()
         ]
     return level
+
+
+def reference_merge(lists, counter: StepCounter | None = None):
+    """C3 merge of duplicate-free lists with ``list.index`` goodness
+    scans, counting one ``counter`` unit per (candidate head, other active
+    list) test up to the first list whose tail holds the head."""
+    seqs = [list(l) for l in lists]
+    k = len(seqs)
+    ptr = [0] * k
+    result: list[int] = []
+    while True:
+        active = [i for i in range(k) if ptr[i] < len(seqs[i])]
+        if not active:
+            return tuple(result)
+        chosen = None
+        for i in active:
+            head = seqs[i][ptr[i]]
+            good = True
+            for j in active:
+                if j == i:
+                    continue
+                if counter is not None:
+                    counter.comparisons += 1
+                try:
+                    seqs[j].index(head, ptr[j] + 1)
+                except ValueError:
+                    continue
+                good = False
+                break
+            if good:
+                chosen = head
+                break
+        if chosen is None:
+            return MergeFailure(
+                processed=tuple(result),
+                remaining=tuple(tuple(seqs[i][ptr[i]:]) for i in active),
+            )
+        result.append(chosen)
+        for i in active:
+            if seqs[i][ptr[i]] == chosen:
+                ptr[i] += 1
 
 
 def python_mros(p: Poset, assignment):

@@ -183,6 +183,8 @@ MALFORMED = {
     "not_a_strict_superior": "elements: A B C\ncover: C B\ncover: B A\nprecedence: B = A C\n",
     "duplicate_cover": "elements: A B\ncover: B A\ncover: B A\n",
     "global_order_wrong_length": "elements: A B C\ncover: C B\ncover: B A\nglobal_order: C B\n",
+    "cover_cycle": "elements: A B\ncover: A B\ncover: B A\n",
+    "transitively_implied_cover": "elements: A B C\ncover: C B\ncover: B A\ncover: C A\n",
 }
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import insort
+
 import pytest
 
 from c3control import (
@@ -18,7 +20,7 @@ from c3control import (
     poset_h,
 )
 
-from conftest import posets_of_size
+from conftest import posets_of_size, reference_merge
 
 
 def chain(n: int) -> Poset:
@@ -33,6 +35,44 @@ def assert_reproduces(p: Poset, assignment, g) -> None:
         assert not isinstance(mro, MergeFailure), (p, g, c)
         target = tuple(sorted(p.up_set(c), key=pos.__getitem__))
         assert mro == target, (p, g, c)
+
+
+def reference_instrumented(p: Poset, g):
+    """c3_instrumented's restarting replay on ``reference_merge``: the
+    first good head after the target's first d elements is the merge's
+    element d, and each insertion restarts the element's replay."""
+    pos = {x: i for i, x in enumerate(g)}
+    mros, assignment, additions = {}, {}, {}
+    for c in reversed(g):
+        target = [x for x in g if x != c and p.lt(c, x)]
+        clist = sorted(p.upper_covers(c), key=pos.__getitem__)
+        inserted = []
+        while True:
+            merged = reference_merge([mros[b] for b in clist] + [clist])
+            emitted = list(merged.processed if isinstance(merged, MergeFailure) else merged)
+            if emitted == target:
+                break
+            d = next(i for i, (x, y) in enumerate(zip(emitted + [None], target)) if x != y)
+            assert d < len(emitted), "no good head"
+            for x in (target[d], emitted[d]):
+                if x not in clist:
+                    insort(clist, x, key=pos.__getitem__)
+                    inserted.append(x)
+        mros[c] = (c, *target)
+        assignment[c] = tuple(clist)
+        if inserted:
+            additions[c] = tuple(inserted)
+    return assignment, additions
+
+
+def test_instrumented_matches_reference_replay():
+    pairs = [(p, g) for k in range(1, 7) for p in posets_of_size(k) for g in p.linear_extensions()]
+    h = poset_h()
+    pairs += [(h, g) for g in h.linear_extensions()]
+    for p, g in pairs:
+        result = c3_instrumented(p, g)
+        assert (result.assignment, result.additions) == reference_instrumented(p, g), (p, g)
+    assert len(pairs) > 100_000
 
 
 def test_chain_needs_no_additions():
@@ -110,12 +150,12 @@ def test_brute_force_assignment_lists_whole_up_set():
 
 
 def test_merge_step_count_brute_force_dominates():
-    for n in (8, 16, 32):
+    # criterion 10's chains, with the exact counts its slopes are fitted to
+    for n, cheap, costly in ((8, 7, 140), (16, 15, 1240), (32, 31, 10416), (64, 63, 85344)):
         p = chain(n)
         g = tuple(range(n))
-        cheap = merge_step_count(p, induced_assignment(p, g), 0)
-        costly = merge_step_count(p, brute_force_assignment(p, g), 0)
-        assert costly > cheap
+        assert merge_step_count(p, induced_assignment(p, g), 0) == cheap
+        assert merge_step_count(p, brute_force_assignment(p, g), 0) == costly
 
 
 def test_merge_step_count_deterministic():

@@ -8,6 +8,8 @@ MergeFailure).
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from c3control import (
@@ -28,7 +30,7 @@ from c3control import (
     validate_assignment,
 )
 
-from conftest import posets_of_size, python_mros
+from conftest import posets_of_size, python_mros, reference_merge
 
 
 def deviates() -> Poset:
@@ -60,6 +62,35 @@ def test_merge_prefers_leftmost_good_head():
 def test_merge_rejects_duplicates_within_a_list():
     with pytest.raises(ValueError):
         c3_merge([(1, 2, 1)])
+
+
+def test_merge_rejects_negative_and_non_int_elements():
+    # the kernel indexes per-element counts, so -1 would alias the last id
+    for bad in ([(1, -1)], [(0,), (2, -1)], [("a", "b")], [(1.0,)]):
+        with pytest.raises(ValueError):
+            c3_merge(bad)
+
+
+def test_merge_matches_reference_merge():
+    rng = random.Random(20240)
+    cases = 0
+    for _ in range(3000):
+        m = rng.randint(1, 12)
+        order = rng.sample(range(m), m)
+        lists = []
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.5:
+                # lists drawn from one shared order cannot block each other
+                lists.append([x for x in order if rng.random() < 0.5])
+            else:
+                lists.append(rng.sample(range(m), rng.randint(0, m)))
+        counter, expected_counter = StepCounter(), StepCounter()
+        got = c3_merge(lists, counter)
+        expected = reference_merge(lists, expected_counter)
+        assert got == expected, lists
+        assert counter.comparisons == expected_counter.comparisons, lists
+        cases += isinstance(expected, MergeFailure)
+    assert 300 < cases < 2700  # both outcomes are well represented
 
 
 def test_merge_failure_state():

@@ -9,7 +9,6 @@ from c3control import (
     DuplicateNameError,
     NotReducedError,
     Poset,
-    poset_from_covers,
     poset_h,
 )
 
@@ -153,7 +152,7 @@ def test_canonical_form_separates_classes():
 
 
 def test_poset_from_covers_names():
-    p = poset_from_covers(3, ["x", "y", "z"], [(2, 1), (1, 0)])
+    p = Poset(3, [(2, 1), (1, 0)], ["x", "y", "z"])
     assert p.lt(p.id_of("z"), p.id_of("x"))
 
 
