@@ -209,8 +209,7 @@ def _summary_as_json(summary: search.SearchSummary) -> str:
 
 
 def cmd_search(args) -> int:
-    for what, value, least in (("depth", args.n, 0), ("--jobs", args.jobs, 1),
-                               ("--budget", args.budget, 0)):
+    for what, value, least in (("depth", args.n, 0), ("--jobs", args.jobs, 1)):
         if value < least:
             print(f"error: search {what} must be at least {least}, got {value}",
                   file=sys.stderr)
@@ -219,7 +218,6 @@ def cmd_search(args) -> int:
         summary = search.map_reduce_search(
             args.n,
             workers=args.jobs,
-            budget=args.budget,
             allow_large=args.allow_large,
         )
     except ResourceLimitError as exc:
@@ -300,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="exhaustive C3 experiment over small posets")
     sp.add_argument("n", type=int)
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
     sp.add_argument("--allow-large", action="store_true",
                     help="permit long-running depths (n >= 8)")
     add_format(sp)

@@ -38,6 +38,21 @@ def _require_extension(p: Poset, g: Sequence[int]) -> dict[int, int]:
     return {x: i for i, x in enumerate(g)}
 
 
+def _strict_up_sets(p: Poset, g: Sequence[int], pos: Mapping[int, int]) -> list[tuple[int, ...]]:
+    """Each element's strict up-set sorted by ``g``, indexed by id.  Each
+    is built from its upper covers' up-sets, superiors first along
+    ``reversed(g)``, so the cost follows the up-set sizes rather than n
+    per element."""
+    ups: list[tuple[int, ...]] = [()] * p.n
+    for c in reversed(g):
+        covers = p.upper_covers(c)
+        above = set(covers)
+        for b in covers:
+            above.update(ups[b])
+        ups[c] = tuple(sorted(above, key=pos.__getitem__))
+    return ups
+
+
 def c3_instrumented(p: Poset, g: Sequence[int]) -> InstrumentationResult:
     """Compute minimal precedence lists making C3 reproduce ``g``.
 
@@ -51,13 +66,13 @@ def c3_instrumented(p: Poset, g: Sequence[int]) -> InstrumentationResult:
     its first deviation from the target is the head to insert.
     """
     pos = _require_extension(p, g)
+    ups = _strict_up_sets(p, g, pos)
     mros: dict[int, tuple[int, ...]] = {}
     assignment: dict[int, tuple[int, ...]] = {}
     additions: dict[int, tuple[int, ...]] = {}
 
     for c in reversed(g):
-        up = p.up_mask(c)
-        target = tuple(x for x in g if up >> x & 1 and x != c)
+        target = ups[c]
         clist = sorted(p.upper_covers(c), key=pos.__getitem__)
         inserted: list[int] = []
 
@@ -100,11 +115,7 @@ def brute_force_assignment(p: Poset, g: Sequence[int]) -> dict[int, tuple[int, .
     The head of the first merge input is then always good, so C3
     reproduces ``g`` on every up-set, at a cubic price on deep chains.
     """
-    _require_extension(p, g)
-    return {
-        c: tuple(x for x in g if p.up_mask(c) >> x & 1 and x != c)
-        for c in range(p.n)
-    }
+    return dict(enumerate(_strict_up_sets(p, g, _require_extension(p, g))))
 
 
 def count_additions_per_extension(p: Poset) -> dict[int, int]:

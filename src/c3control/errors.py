@@ -53,7 +53,7 @@ class AmbiguityError(C3ControlError):
 
 
 class ResourceLimitError(C3ControlError):
-    """A search exceeded its node budget or requires an explicit override."""
+    """A search depth requires an explicit override (``allow_large``)."""
 
 
 class LinearizationFailedError(C3ControlError):

@@ -59,14 +59,18 @@ class Poset:
         self._upper = tuple(tuple(sorted(u)) for u in upper)
         self._lower = tuple(tuple(sorted(d)) for d in lower)
 
-        self._check_acyclic()
-        self._up_mask = self._closure(self._upper)
-        self._down_mask = self._closure(self._lower)
+        order = self._topological_order()
+        self._up_mask = _closure(order, self._upper)
+        self._down_mask = _closure(reversed(order), self._lower)
         self._check_reduced()
 
-    def _check_acyclic(self) -> None:
-        # Depth-first search with an explicit stack of cover iterators, so
-        # long chains cannot exhaust the interpreter's recursion limit.
+    def _topological_order(self) -> list[int]:
+        """Every element after all of its upper covers: the post-order of
+        a depth-first search along upper covers.  Raises CycleError on a
+        cycle."""
+        # An explicit stack of cover iterators, so long chains cannot
+        # exhaust the interpreter's recursion limit.
+        order: list[int] = []
         state = [0] * self.n  # 0 unseen, 1 on stack, 2 done
         for root in range(self.n):
             if state[root]:
@@ -86,36 +90,10 @@ class Poset:
                         break
                 else:
                     pending.pop()
-                    state[stack_path.pop()] = 2
-
-    def _closure(self, neigh) -> tuple[int, ...]:
-        # Reflexive reachability bitmasks, computed in reverse topological
-        # order so each element's mask is final before it is used.
-        order: list[int] = []
-        seen = [False] * self.n
-        stack: list[tuple[int, int]] = []
-        for root in range(self.n):
-            if seen[root]:
-                continue
-            stack.append((root, 0))
-            seen[root] = True
-            while stack:
-                x, i = stack.pop()
-                if i < len(neigh[x]):
-                    stack.append((x, i + 1))
-                    y = neigh[x][i]
-                    if not seen[y]:
-                        seen[y] = True
-                        stack.append((y, 0))
-                else:
+                    x = stack_path.pop()
+                    state[x] = 2
                     order.append(x)
-        mask = [0] * self.n
-        for x in order:
-            m = 1 << x
-            for y in neigh[x]:
-                m |= mask[y]
-            mask[x] = m
-        return tuple(mask)
+        return order
 
     def _check_reduced(self) -> None:
         for c, a in sorted(self.covers):
@@ -375,6 +353,18 @@ def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> tuple[byt
         out.append(c)
         out.append(a)
     return bytes(out), ties
+
+
+def _closure(order: Iterable[int], neigh) -> tuple[int, ...]:
+    """Reflexive reachability bitmasks along ``neigh``, computed in an
+    ``order`` that puts every element after its neighbours."""
+    mask = [0] * len(neigh)
+    for x in order:
+        m = 1 << x
+        for y in neigh[x]:
+            m |= mask[y]
+        mask[x] = m
+    return tuple(mask)
 
 
 def _rank(signatures: list) -> list[int]:

@@ -16,24 +16,20 @@ so it runs once per class at the target depth.  Its extension count e
 also counts the class's labeled members: a class has e / |Aut| naturally
 labeled posets (the identity is a linear extension), and its extension
 and failure totals are that labeled count times the experiment's
-result.  A budget bounds the sum of the labeled counts.
-``find_infeasible`` screens every class instead, stopping at the first
-extension on which C3 succeeds, and counts in full only the classes on
-which it never does.
+result.  ``find_infeasible`` screens every class instead, stopping at
+the first extension on which C3 succeeds, and counts in full only the
+classes on which it never does.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 
 from .errors import ResourceLimitError
 from .linearize import MergeFailure, merge_kernel
 from .poset import Poset, canonical_key
-
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -87,8 +83,6 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
     canonical labelings.
     """
     n = p.n
-    if n == 0:
-        return None if screen else (1, 0)
     order = sorted(range(n), key=lambda x: -p._up_mask[x].bit_count())
     new = [0] * n
     for i, x in enumerate(order):
@@ -248,37 +242,29 @@ def _record(key: bytes, automorphisms: int, rep: Poset, counts) -> SearchRecord:
     )
 
 
-def _experiment(key: bytes, screen: bool) -> tuple[int, int] | None:
-    return _c3_all_fail_counts(Poset.from_canonical_key(key), screen)
+def _experiment(key: bytes, screen: bool) -> tuple[Poset | None, tuple[int, int] | None]:
+    """The representative decoded from ``key`` and its experiment's
+    result; a screened-out class's representative is None."""
+    rep = Poset.from_canonical_key(key)
+    counts = _c3_all_fail_counts(rep, screen)
+    return (None if counts is None else rep), counts
 
 
-def _experiments(keys: list[bytes], workers: int, screen: bool = False):
-    """``(representative, result)`` of the experiment for every key, in
-    order.  It runs in this process, or in a pool of ``workers`` processes
-    that takes the keys in chunks; a screened-out class's representative
-    is None."""
+def _experiments(
+    keys: list[bytes], workers: int, screen: bool = False
+) -> list[tuple[Poset | None, tuple[int, int] | None]]:
+    """``_experiment`` for every key, in order.  It runs in this process,
+    or in a pool of ``workers`` processes that takes the keys in chunks."""
     if workers <= 1:
-        for key in keys:
-            rep = Poset.from_canonical_key(key)
-            yield rep, _c3_all_fail_counts(rep, screen)
-        return
+        return [_experiment(key, screen) for key in keys]
     chunk = max(1, len(keys) // (workers * 8))
     with multiprocessing.get_context("fork").Pool(workers) as pool:
-        results = pool.imap(partial(_experiment, screen=screen), keys, chunksize=chunk)
-        for key, counts in zip(keys, results):
-            yield (None if counts is None else Poset.from_canonical_key(key)), counts
-
-
-def _budget_error(budget: int, depth: int) -> ResourceLimitError:
-    return ResourceLimitError(
-        f"budget of {budget} labeled posets exceeded at depth {depth}"
-    )
+        return pool.map(partial(_experiment, screen=screen), keys, chunksize=chunk)
 
 
 def map_reduce_search(
     n: int,
     workers: int = 1,
-    budget: int = DEFAULT_BUDGET,
     allow_large: bool = False,
 ) -> SearchSummary:
     """Generate the isomorphism classes on ``n`` elements, run the C3
@@ -292,25 +278,18 @@ def map_reduce_search(
     ``allow_large`` is set: n = 8 takes a few minutes on one CPU, nearly
     all of it in the experiments, and at n = 9 ``find_infeasible``, which
     screens instead of counting, answers in about a minute and a half.
-    ``budget`` bounds the labeled posets, the sum of e / |Aut| over the
-    classes, whatever the number of workers; exceeding it raises
-    ResourceLimitError.
     """
     classes = iso_classes(n, allow_large)
-    records = []
-    labeled = 0
-    with closing(_experiments([key for key, _ in classes], workers)) as results:
-        for (key, automorphisms), (rep, counts) in zip(classes, results):
-            record = _record(key, automorphisms, rep, counts)
-            labeled += record.labeled_count
-            if labeled > budget:
-                raise _budget_error(budget, n)
-            records.append(record)
+    results = _experiments([key for key, _ in classes], workers)
+    records = tuple(
+        _record(key, automorphisms, *result)
+        for (key, automorphisms), result in zip(classes, results)
+    )
     return SearchSummary(
         n=n,
-        labeled_poset_count=labeled,
+        labeled_poset_count=sum(r.labeled_count for r in records),
         iso_class_count=len(records),
-        records=tuple(records),
+        records=records,
     )
 
 
@@ -321,13 +300,12 @@ def screen_infeasible(
     ``iso_classes``.  The experiment on a class stops at the first linear
     extension on which C3 succeeds, so only infeasible classes are
     counted in full."""
-    keys = [key for key, _ in classes]
-    with closing(_experiments(keys, workers, screen=True)) as results:
-        return [
-            _record(key, automorphisms, rep, counts)
-            for (key, automorphisms), (rep, counts) in zip(classes, results)
-            if counts is not None
-        ]
+    results = _experiments([key for key, _ in classes], workers, screen=True)
+    return [
+        _record(key, automorphisms, rep, counts)
+        for (key, automorphisms), (rep, counts) in zip(classes, results)
+        if counts is not None
+    ]
 
 
 def find_infeasible(

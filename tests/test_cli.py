@@ -145,19 +145,6 @@ def test_search_depth_gate(capsys):
     assert "allow_large" in err
 
 
-def test_search_budget(capsys):
-    code, _, err = run(capsys, "search", "5", "--budget", "10")
-    assert code == EXIT_DOMAIN
-    assert "budget" in err
-
-
-def test_search_budget_independent_of_jobs(capsys):
-    for jobs in ("1", "2"):
-        code, _, err = run(capsys, "search", "6", "--budget", "1000", "--jobs", jobs)
-        assert code == EXIT_DOMAIN
-        assert "budget" in err
-
-
 def test_search_negative_depth_is_input_error(capsys):
     code, out, err = run(capsys, "search", "-1")
     assert code == EXIT_INPUT
@@ -165,9 +152,7 @@ def test_search_negative_depth_is_input_error(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize(
-    "flags", [("--jobs", "0"), ("--jobs", "-3"), ("--budget", "-1")]
-)
+@pytest.mark.parametrize("flags", [("--jobs", "0"), ("--jobs", "-3")])
 def test_search_out_of_range_option_is_input_error(capsys, flags):
     code, out, err = run(capsys, "search", "5", *flags)
     assert code == EXIT_INPUT

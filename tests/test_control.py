@@ -40,13 +40,23 @@ def assert_reproduces(p: Poset, assignment, g) -> None:
 def reference_instrumented(p: Poset, g):
     """c3_instrumented's restarting replay on ``reference_merge``: the
     first good head after the target's first d elements is the merge's
-    element d, and each insertion restarts the element's replay."""
+    element d, and each insertion restarts the element's replay.
+
+    The deviation index d of an element never decreases from one replay
+    to the next, so a replay could resume at the deviation instead of
+    restarting.  Every merge input is g-sorted; while the output matches
+    ``target[:d]``, ``target[d]`` is the g-least remaining element, so it
+    sits in no tail and stays good; and an insertion only puts
+    ``target[d]`` and the head into the unconsumed part of the list,
+    which can only raise tail counts, so every earlier step picks the
+    same head again."""
     pos = {x: i for i, x in enumerate(g)}
     mros, assignment, additions = {}, {}, {}
     for c in reversed(g):
         target = [x for x in g if x != c and p.lt(c, x)]
         clist = sorted(p.upper_covers(c), key=pos.__getitem__)
         inserted = []
+        last_d = 0
         while True:
             merged = reference_merge([mros[b] for b in clist] + [clist])
             emitted = list(merged.processed if isinstance(merged, MergeFailure) else merged)
@@ -54,6 +64,8 @@ def reference_instrumented(p: Poset, g):
                 break
             d = next(i for i, (x, y) in enumerate(zip(emitted + [None], target)) if x != y)
             assert d < len(emitted), "no good head"
+            assert d >= last_d, "deviation moved back"
+            last_d = d
             for x in (target[d], emitted[d]):
                 if x not in clist:
                     insort(clist, x, key=pos.__getitem__)
@@ -141,12 +153,16 @@ def test_additions_histogram_small():
 
 
 def test_brute_force_assignment_lists_whole_up_set():
-    p = poset_h()
-    g = next(p.linear_extensions())
-    bfa = brute_force_assignment(p, g)
-    for c in range(p.n):
-        assert set(bfa[c]) == set(p.up_set(c)) - {c}
-    assert_reproduces(p, bfa, g)
+    h = poset_h()
+    pairs = [(p, g) for k in range(6) for p in posets_of_size(k) for g in p.linear_extensions()]
+    pairs += [(h, g) for g in h.linear_extensions()]
+    for p, g in pairs:
+        bfa = brute_force_assignment(p, g)
+        assert list(bfa) == list(range(p.n))
+        for c in range(p.n):
+            assert bfa[c] == tuple(x for x in g if p.lt(c, x)), (p, g, c)
+    g = next(h.linear_extensions())
+    assert_reproduces(h, brute_force_assignment(h, g), g)
 
 
 def test_merge_step_count_brute_force_dominates():

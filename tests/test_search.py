@@ -136,21 +136,6 @@ def test_worker_count_does_not_change_result():
         assert other == base
 
 
-def test_budget_enforced():
-    with pytest.raises(ResourceLimitError):
-        map_reduce_search(5, budget=10)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_budget_is_global(workers):
-    # The budget counts labeled posets visited over the whole search:
-    # 4,824 at n = 6, however the tree is split among workers.
-    with pytest.raises(ResourceLimitError):
-        map_reduce_search(6, workers=workers, budget=1000)
-    summary = map_reduce_search(6, workers=workers, budget=4824)
-    assert summary.labeled_poset_count == 4824
-
-
 def test_large_depth_gated():
     with pytest.raises(ResourceLimitError):
         map_reduce_search(8)
