@@ -53,17 +53,53 @@ def _strict_up_sets(p: Poset, g: Sequence[int], pos: Mapping[int, int]) -> list[
     return ups
 
 
+def _replay(covers, target, mros, size: int, key) -> tuple[list[int], list[int]]:
+    """Minimal precedence list of an element whose strict up-set, sorted
+    by the global order, is ``target``, given the final ``mros`` of its
+    superiors; ``key`` sorts by the global order.
+
+    The list starts as the element's covers.  Each replay is one run of
+    ``merge_kernel`` over the listed superiors' MROs and the list; at the
+    first index where the result leaves ``target``, the desired element
+    (if absent) and the head C3 took instead are inserted at their
+    ``key`` positions, and the replay restarts.  Returns the list and the
+    inserted elements in insertion order.
+    """
+    clist = sorted(covers, key=key)
+    inserted: list[int] = []
+    while True:
+        seqs = [mros[b] for b in clist]
+        if clist:
+            seqs.append(clist)
+        merged = merge_kernel(seqs, size)
+        if merged == target:
+            return clist, inserted
+        emitted = merged.processed if isinstance(merged, MergeFailure) else merged
+        d = 0
+        while d < len(emitted) and emitted[d] == target[d]:
+            d += 1
+        if d == len(emitted):
+            raise AssertionError("instrumented merge found no good head")
+        # target[d] precedes the head in g, so a list holding both would
+        # block the head: at least one of them is new
+        new = [x for x in (target[d], emitted[d]) if x not in clist]
+        if not new:
+            raise AssertionError("instrumented merge took a listed head")
+        for x in new:
+            insort(clist, x, key=key)
+        inserted += new
+
+
 def c3_instrumented(p: Poset, g: Sequence[int]) -> InstrumentationResult:
     """Compute minimal precedence lists making C3 reproduce ``g``.
 
     Elements are processed least-derived first along ``g`` so every listed
-    superior's MRO is final before its inferiors are handled.  For each
-    element the merge is replayed against the target order (g restricted
-    to the element's up-set); whenever the first good head deviates from
-    the target, the offending element is inserted into the local list at
-    its g-sorted position (preceded by the target element if absent) and
-    the merge restarts.  Each replay is one run of ``merge_kernel``, and
-    its first deviation from the target is the head to insert.
+    superior's MRO is final before its inferiors are handled.  Each
+    element's list comes from ``_replay`` against its target order (g
+    restricted to the element's strict up-set): whenever the merge's
+    first good head deviates from the target, the offending element is
+    inserted at its g-sorted position (preceded by the target element if
+    absent) and the merge restarts.
     """
     pos = _require_extension(p, g)
     ups = _strict_up_sets(p, g, pos)
@@ -73,30 +109,7 @@ def c3_instrumented(p: Poset, g: Sequence[int]) -> InstrumentationResult:
 
     for c in reversed(g):
         target = ups[c]
-        clist = sorted(p.upper_covers(c), key=pos.__getitem__)
-        inserted: list[int] = []
-
-        while True:
-            seqs = [mros[b] for b in clist]
-            if clist:
-                seqs.append(clist)
-            merged = merge_kernel(seqs, p.n)
-            if merged == target:
-                break
-            emitted = merged.processed if isinstance(merged, MergeFailure) else merged
-            d = 0
-            while d < len(emitted) and emitted[d] == target[d]:
-                d += 1
-            if d == len(emitted):
-                raise AssertionError("instrumented merge found no good head")
-            desired, head = target[d], emitted[d]
-            if desired not in clist:
-                insort(clist, desired, key=pos.__getitem__)
-                inserted.append(desired)
-            if head not in clist:
-                insort(clist, head, key=pos.__getitem__)
-                inserted.append(head)
-
+        clist, inserted = _replay(p.upper_covers(c), target, mros, p.n, pos.__getitem__)
         mros[c] = (c, *target)
         assignment[c] = tuple(clist)
         if inserted:
@@ -120,11 +133,54 @@ def brute_force_assignment(p: Poset, g: Sequence[int]) -> dict[int, tuple[int, .
 
 def count_additions_per_extension(p: Poset) -> dict[int, int]:
     """Histogram: total insertions made by c3_instrumented, tallied over
-    every linear extension of the poset."""
+    every linear extension of the poset.
+
+    The extensions are walked superiors first, as a down-set mask of the
+    elements still to place: an element is placed once all its strict
+    superiors are, and its target is then the placed part of its strict
+    up-set, most derived first, so each walk node runs ``_replay`` for
+    one element instead of each extension replaying every element.  The
+    running insertion total travels down the recursion and each leaf
+    adds one to its bin.  An element's insertion count depends only on
+    its covers, its target and its superiors' MROs, and each of those is
+    the element's own MRO ``(x, *target)`` restricted to the superior's
+    up-set; so the count is memoised on that MRO, that is on (element,
+    target), for the duration of the call.
+    """
+    n = p.n
+    upper = p._upper
+    up_strict = [p._up_mask[x] & ~(1 << x) for x in range(n)]
+    placed_at = [0] * n
+    key = lambda x: -placed_at[x]  # later placed is more derived
+    placed: list[int] = []
+    mros: list = [None] * n
+    memo: dict[tuple[int, ...], int] = {}
     histogram: dict[int, int] = {}
-    for g in p.linear_extensions():
-        total = c3_instrumented(p, g).total_added
-        histogram[total] = histogram.get(total, 0) + 1
+
+    def rec(mask: int, total: int) -> None:
+        if not mask:
+            histogram[total] = histogram.get(total, 0) + 1
+            return
+        m = mask
+        while m:
+            bit = m & -m
+            m ^= bit
+            x = bit.bit_length() - 1
+            up = up_strict[x]
+            if up & mask:
+                continue  # a strict superior is still to place
+            mro = (x, *(y for y in reversed(placed) if up >> y & 1))
+            added = memo.get(mro)
+            if added is None:
+                added = len(_replay(upper[x], mro[1:], mros, n, key)[1])
+                memo[mro] = added
+            mros[x] = mro
+            placed_at[x] = len(placed)
+            placed.append(x)
+            rec(mask ^ bit, total + added)
+            placed.pop()
+
+    rec((1 << n) - 1, 0)
     return dict(sorted(histogram.items()))
 
 

@@ -50,21 +50,23 @@ class HierarchyFile:
         """Precedence lists as element-id tuples.
 
         Elements without an explicit entry list their covers in cover-line
-        order.
+        order.  An unknown name raises ``KeyError(name)``.
         """
+        ids = dict(zip(p.names, range(p.n)))
         declared: dict[str, list[str]] = {name: [] for name in self.elements}
         for sub, sup in self.covers:
             declared[sub].append(sup)
         out = {}
         for i, name in enumerate(self.elements):
             listed = self.precedence.get(name, declared[name])
-            out[i] = tuple(p.id_of(x) for x in listed)
+            out[i] = tuple(ids[x] for x in listed)
         return out
 
     def global_order_ids(self, p: Poset) -> list[int] | None:
         if self.global_order is None:
             return None
-        return [p.id_of(x) for x in self.global_order]
+        ids = dict(zip(p.names, range(p.n)))
+        return [ids[x] for x in self.global_order]
 
 
 def parse_hierarchy(text: str, source: str = "<string>") -> HierarchyFile:

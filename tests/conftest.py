@@ -6,12 +6,15 @@ admits the identity labeling as a most-derived-first linear extension
 (the naturally labeled posets); every isomorphism class appears.  It is
 the oracle the search's class-by-class generation is checked against.
 ``reference_merge`` is the C3 merge that tests goodness by scanning the
-other lists' tails, the oracle for ``merge_kernel``.
+other lists' tails, the oracle for ``merge_kernel``.  ``natural_poset``
+and the ``hypothesis`` strategy ``posets_with_extension`` draw random
+posets for the property tests.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from c3control import MergeFailure, Poset, StepCounter, poset_h
 
@@ -28,6 +31,42 @@ def posets_of_size(n: int) -> list[Poset]:
             for chain in p.antichains()
         ]
     return level
+
+
+def natural_poset(n: int, related) -> Poset:
+    """The poset on ``0..n-1`` generated by the pairs ``(i, j)``, i < j,
+    in ``related`` (i below j), built from its cover relation; the
+    identity is a most-derived-first linear extension."""
+    up = [1 << i for i in range(n)]  # reflexive up-sets
+    for i, j in sorted(related, reverse=True):
+        up[i] |= up[j]
+    covers = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if up[i] >> j & 1
+        and not any(up[i] >> k & 1 and up[k] >> j & 1 for k in range(i + 1, j))
+    ]
+    return Poset(n, covers)
+
+
+@st.composite
+def posets_with_extension(draw, min_n: int = 0, max_n: int = 12):
+    """A random poset on ``min_n`` to ``max_n`` elements, randomly
+    labeled, and a random linear extension of it, most derived first."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    related = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    p = natural_poset(n, [pair for pair, rel in zip(pairs, related) if rel])
+    p = p.relabel(draw(st.permutations(range(n))))
+    g: list[int] = []
+    missing = [len(p.lower_covers(x)) for x in range(n)]  # unplaced lower covers
+    while len(g) < n:
+        x = draw(st.sampled_from([x for x in range(n) if not missing[x] and x not in g]))
+        g.append(x)
+        for a in p.upper_covers(x):
+            missing[a] -= 1
+    return p, tuple(g)
 
 
 def reference_merge(lists, counter: StepCounter | None = None):

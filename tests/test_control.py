@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from bisect import insort
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
 
 from c3control import (
     MergeFailure,
@@ -20,7 +23,13 @@ from c3control import (
     poset_h,
 )
 
-from conftest import posets_of_size, reference_merge
+from conftest import (
+    natural_poset,
+    posets_of_size,
+    posets_with_extension,
+    python_mros,
+    reference_merge,
+)
 
 
 def chain(n: int) -> Poset:
@@ -142,14 +151,57 @@ def test_instrumentation_reproduces_every_order_small():
                     assert set(p.upper_covers(c)) <= set(seq)
 
 
+def tally_additions(p: Poset) -> dict[int, int]:
+    """The histogram the slow way: one c3_instrumented per extension."""
+    tally: dict[int, int] = {}
+    for g in p.linear_extensions():
+        t = c3_instrumented(p, g).total_added
+        tally[t] = tally.get(t, 0) + 1
+    return tally
+
+
+def random_posets(seed: int, count: int, sizes: range, max_extensions: int) -> list[Poset]:
+    """``count`` seeded random posets, randomly labeled, with at most
+    ``max_extensions`` linear extensions each."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice(sizes)
+        density = rng.uniform(0.2, 0.5)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+        p = natural_poset(n, pairs).relabel(rng.sample(range(n), n))
+        if sum(1 for _ in islice(p.linear_extensions(), max_extensions + 1)) <= max_extensions:
+            out.append(p)
+    return out
+
+
 def test_additions_histogram_small():
-    # Independent tally must agree with the bulk helper.
-    for p in posets_of_size(4):
-        expected: dict[int, int] = {}
-        for g in p.linear_extensions():
-            t = c3_instrumented(p, g).total_added
-            expected[t] = expected.get(t, 0) + 1
-        assert count_additions_per_extension(p) == expected
+    # The superiors-first walk with its (element, target) memo must agree
+    # with an independent per-extension tally of c3_instrumented.
+    h = poset_h()
+    cases = [p for k in range(7) for p in posets_of_size(k)]
+    cases += [h, h.relabel(random.Random(5).sample(range(h.n), h.n))]
+    cases += random_posets(seed=11, count=20, sizes=range(8, 12), max_extensions=1500)
+    for p in cases:
+        histogram = count_additions_per_extension(p)
+        assert histogram == tally_additions(p), p
+        assert list(histogram) == sorted(histogram)
+    assert count_additions_per_extension(Poset(0, ())) == {0: 1}
+    assert count_additions_per_extension(h) == {1: 36, 2: 108, 3: 180, 4: 216, 5: 180}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(posets_with_extension())
+def test_instrumented_lists_give_extension_in_cpython(case):
+    # Under the instrumented lists, both c3_mro and CPython's
+    # type.__mro__ give g restricted to every up-set.
+    p, g = case
+    assignment = c3_instrumented(p, g).assignment
+    pos = {x: i for i, x in enumerate(g)}
+    expected = {c: tuple(sorted(p.up_set(c), key=pos.__getitem__)) for c in range(p.n)}
+    cache: dict = {}
+    assert {c: c3_mro(p, assignment, c, cache) for c in range(p.n)} == expected
+    assert python_mros(p, assignment) == expected
 
 
 def test_brute_force_assignment_lists_whole_up_set():

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c3control import (
     AmbiguityError,
@@ -30,7 +32,7 @@ from c3control import (
     validate_assignment,
 )
 
-from conftest import posets_of_size, python_mros, reference_merge
+from conftest import posets_of_size, posets_with_extension, python_mros, reference_merge
 
 
 def deviates() -> Poset:
@@ -269,6 +271,28 @@ def test_cpython_agrees_on_h():
     p = poset_h()
     for ext in p.linear_extensions():
         _assert_matches_python(p, induced_assignment(p, ext))
+
+
+@st.composite
+def relaxed_assignments(draw):
+    """A random poset on up to 12 elements and a valid relaxed assignment:
+    each element lists its covers and a random set of other strict
+    superiors, in a random order."""
+    p, _g = draw(posets_with_extension())
+    assignment = {}
+    for c in range(p.n):
+        covers = p.upper_covers(c)
+        extra = [x for x in range(p.n) if p.lt(c, x) and x not in covers and draw(st.booleans())]
+        assignment[c] = tuple(draw(st.permutations([*covers, *extra])))
+    return p, assignment
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(relaxed_assignments())
+def test_cpython_agrees_on_random_relaxed_assignments(case):
+    p, assignment = case
+    validate_assignment(p, assignment)
+    _assert_matches_python(p, assignment)
 
 
 def test_long_chain_without_recursion_limit():

@@ -23,7 +23,7 @@ from c3control import (
 )
 from c3control.search import _c3_all_fail_counts, iso_classes, screen_infeasible
 
-from conftest import posets_of_size, python_mros
+from conftest import natural_poset, posets_of_size, python_mros
 
 LABELED = [1, 1, 2, 7, 40, 357]
 ISO = [1, 1, 2, 5, 16, 63]
@@ -217,17 +217,8 @@ def posets_with_permutation(draw):
     n = draw(st.integers(0, 7))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     related = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    up = [1 << i for i in range(n)]  # reflexive up-sets; i < j may hold
-    for (i, j), rel in sorted(zip(pairs, related), reverse=True):
-        if rel:
-            up[i] |= up[j]
-    covers = [
-        (i, j)
-        for i, j in pairs
-        if up[i] >> j & 1
-        and not any(up[i] >> k & 1 and up[k] >> j & 1 for k in range(i + 1, j))
-    ]
-    return Poset(n, covers), draw(st.permutations(range(n)))
+    p = natural_poset(n, [pair for pair, rel in zip(pairs, related) if rel])
+    return p, draw(st.permutations(range(n)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
