@@ -8,8 +8,9 @@ whole control scheme work).  Merge failure is data, not an exception: the
 search module consumes failures in bulk.
 
 ``merge_kernel`` is the package's one C3 merge loop: ``c3_merge`` checks
-its input and calls it, and the search's experiment and instrumentation
-call it directly.
+its input and calls it, and ``c3_mro`` (which checks each precedence
+list once), the search's experiment and instrumentation call it
+directly.
 """
 
 from __future__ import annotations
@@ -98,14 +99,18 @@ def c3_merge(
     Returns the merged tuple, or a MergeFailure when no head is good.
     """
     seqs = [tuple(l) for l in lists if l]
-    size = 0
     for s in seqs:
-        if len(set(s)) != len(s):
-            raise ValueError(f"input list {list(s)!r} contains duplicates")
-        if not all(isinstance(x, int) and x >= 0 for x in s):
-            raise ValueError(f"input list {list(s)!r} holds a negative or non-int element")
-        size = max(size, max(s) + 1)
-    return merge_kernel(seqs, size, counter)
+        _check_list(s)
+    return merge_kernel(seqs, 1 + max(map(max, seqs), default=-1), counter)
+
+
+def _check_list(s: Sequence[int]) -> None:
+    """Raise ValueError unless ``s`` is a duplicate-free list of
+    non-negative ints."""
+    if len(set(s)) != len(s):
+        raise ValueError(f"input list {list(s)!r} contains duplicates")
+    if not all(isinstance(x, int) and x >= 0 for x in s):
+        raise ValueError(f"input list {list(s)!r} holds a negative or non-int element")
 
 
 def merge_kernel(
@@ -113,9 +118,9 @@ def merge_kernel(
     size: int,
     counter: StepCounter | None = None,
 ):
-    """The C3 merge loop that ``c3_merge``, the search and instrumentation
-    share.  ``seqs`` are non-empty duplicate-free sequences of ids in
-    ``range(size)``; no argument is checked.
+    """The C3 merge loop that ``c3_merge``, ``c3_mro``, the search and
+    instrumentation share.  ``seqs`` are non-empty duplicate-free
+    sequences of ids in ``range(size)``; no argument is checked.
 
     A head is good iff it occurs in no list's tail, so goodness is one
     lookup in per-id tail-occurrence counts, kept up to date as the list
@@ -193,7 +198,8 @@ def c3_mro(
     Returns the MRO tuple or a MergeFailure tagged with the element at
     which the merge got stuck.  ``cache`` memoizes per (poset, assignment)
     computation and must never be shared across assignments.  Raises
-    ValueError when the precedence lists are cyclic.
+    ValueError when the precedence lists are cyclic or a list has
+    duplicates.
     """
     if cache is None:
         cache = {}
@@ -228,9 +234,12 @@ def c3_mro(
             frames.append([b, 0])
             continue
         elif listed:
+            # The cached MROs are merge output, built from lists checked
+            # here, so only the element's own list needs checking.
+            _check_list(listed)
             inputs = [cache[b] for b in listed]
             inputs.append(listed)
-            merged = c3_merge(inputs, counter)
+            merged = merge_kernel(inputs, 1 + max(map(max, inputs)), counter)
             if isinstance(merged, MergeFailure):
                 value = MergeFailure(merged.processed, merged.remaining, at=x)
             else:

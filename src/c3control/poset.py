@@ -177,32 +177,38 @@ class Poset:
 
         An element becomes available once all of its strict inferiors are
         placed, so the stream starts from the minimal (most derived)
-        elements.
+        elements.  The backtracking keeps its state in the placed prefix,
+        not in the call stack, so long chains cannot exhaust the
+        interpreter's recursion limit.
         """
         n = self.n
-        down = self._lower
+        upper = self._upper
         placed = [False] * n
-        missing = [len(down[x]) for x in range(n)]  # unplaced lower covers
+        missing = [len(self._lower[x]) for x in range(n)]  # unplaced lower covers
         prefix: list[int] = []
-
-        def rec() -> Iterator[tuple[int, ...]]:
+        start = 0  # least id still to try at the current depth
+        while True:
             if len(prefix) == n:
                 yield tuple(prefix)
-                return
-            for x in range(n):
-                if placed[x] or missing[x]:
-                    continue
+                x = n
+            else:
+                x = start
+                while x < n and (placed[x] or missing[x]):
+                    x += 1
+            if x < n:
                 placed[x] = True
-                for y in self._upper[x]:
+                for y in upper[x]:
                     missing[y] -= 1
                 prefix.append(x)
-                yield from rec()
-                prefix.pop()
-                for y in self._upper[x]:
-                    missing[y] += 1
-                placed[x] = False
-
-        return rec()
+                start = 0
+                continue
+            if not prefix:
+                return
+            x = prefix.pop()
+            for y in upper[x]:
+                missing[y] += 1
+            placed[x] = False
+            start = x + 1
 
     def linear_extension_count(self) -> int:
         return sum(1 for _ in self.linear_extensions())

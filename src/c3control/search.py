@@ -18,7 +18,9 @@ labeled posets (the identity is a linear extension), and its extension
 and failure totals are that labeled count times the experiment's
 result.  ``find_infeasible`` screens every class instead, stopping at
 the first extension on which C3 succeeds, and counts in full only the
-classes on which it never does.
+classes on which it never does.  Within one experiment a merge depends
+only on its input MROs, so each distinct merge runs once, memoised on
+the tuple of those MROs.
 """
 
 from __future__ import annotations
@@ -76,6 +78,16 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
     succeeds and returns None, so only infeasible posets are counted in
     full.
 
+    Every merge of two or more MROs, an element's and the bottom's at
+    each leaf, is memoised for the call on the tuple of its input MROs.
+    That key is exact: the merged lists are those MROs and the list of
+    their heads.  Different walk nodes often reach the same inputs, and
+    different elements too, so most merges are lookups (on the bench's
+    seed-1 ``instrument-extensions`` posets, 2,320 kernel calls for
+    44,583 merges).  A coarser key is wrong: the cover ids alone miscount posets
+    of five elements.  Failures are memoised too, so a pruned subtree is
+    still counted.
+
     The enumeration runs on a natural relabeling, ids ascending from the
     most derived element, because the extensions it then tries first
     let C3 succeed far more often: on seeded samples of the posets of 9
@@ -112,19 +124,29 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
         ecount_memo[mask] = total
         return total
 
-    mros: list = [None] * n
+    # A maximal element's MRO is (x,) on every path: one tuple, so the
+    # memo's keys share it.
+    mros: list = [(x,) for x in range(n)]
     revpos = [0] * n
     revkey = revpos.__getitem__
     exts = 0
     fails = 0
+    merges: dict = {}
+
+    def merge(lst: list[int]):
+        inputs = tuple(map(mros.__getitem__, lst))
+        merged = merges.get(inputs)
+        if merged is None:
+            merged = merges[inputs] = merge_kernel([*inputs, lst], n)
+        return merged
 
     def rec(mask: int, depth: int) -> None:
         nonlocal exts, fails
         if not mask:
             exts += 1
             if multi_min:
-                blist = sorted(minimals, key=revkey, reverse=True)
-                if isinstance(merge_kernel([*(mros[b] for b in blist), blist], n), MergeFailure):
+                merged = merge(sorted(minimals, key=revkey, reverse=True))
+                if isinstance(merged, MergeFailure):
                     fails += 1
                     return
             if screen:
@@ -139,14 +161,11 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
                 continue  # not maximal among the remaining elements
             covs = upper[x]
             revpos[x] = depth
-            if not covs:
-                mros[x] = (x,)
-            elif len(covs) == 1:
+            if len(covs) == 1:
                 # merge(MRO(b), (b,)) is always MRO(b)
                 mros[x] = (x, *mros[covs[0]])
-            else:
-                lst = sorted(covs, key=revkey, reverse=True)
-                merged = merge_kernel([*(mros[b] for b in lst), lst], n)
+            elif covs:
+                merged = merge(sorted(covs, key=revkey, reverse=True))
                 if isinstance(merged, MergeFailure):
                     pruned = ecount(mask ^ bit)
                     exts += pruned
@@ -275,9 +294,10 @@ def map_reduce_search(
     The classes are generated in this process; with several ``workers``
     a pool runs the experiments over chunks of them.  The result is
     independent of ``workers``.  Depths 8 and above are rejected unless
-    ``allow_large`` is set: n = 8 takes a few minutes on one CPU, nearly
-    all of it in the experiments, and at n = 9 ``find_infeasible``, which
-    screens instead of counting, answers in about a minute and a half.
+    ``allow_large`` is set: n = 8 takes about 65 s on one CPU of a 2-core
+    x86-64 machine, most of it in the experiments, and at n = 9
+    ``find_infeasible``, which screens instead of counting, answers in
+    about a minute and a half.
     """
     classes = iso_classes(n, allow_large)
     results = _experiments([key for key, _ in classes], workers)

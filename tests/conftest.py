@@ -6,12 +6,17 @@ admits the identity labeling as a most-derived-first linear extension
 (the naturally labeled posets); every isomorphism class appears.  It is
 the oracle the search's class-by-class generation is checked against.
 ``reference_merge`` is the C3 merge that tests goodness by scanning the
-other lists' tails, the oracle for ``merge_kernel``.  ``natural_poset``
-and the ``hypothesis`` strategy ``posets_with_extension`` draw random
-posets for the property tests.
+other lists' tails, the oracle for ``merge_kernel``.  ``natural_poset``,
+``random_posets`` and the ``hypothesis`` strategy
+``posets_with_extension`` draw random posets for the differential and
+property tests.  ``recursive_linear_extensions``, the recursive
+generator that ``Poset.linear_extensions`` replaced, is its oracle.
 """
 
 from __future__ import annotations
+
+import random
+from itertools import islice
 
 import pytest
 from hypothesis import strategies as st
@@ -33,6 +38,28 @@ def posets_of_size(n: int) -> list[Poset]:
     return level
 
 
+def recursive_linear_extensions(p: Poset):
+    """The linear extensions of ``p`` lexicographically by id sequence,
+    one recursion level per placed element."""
+    placed = [False] * p.n
+    prefix: list[int] = []
+
+    def rec():
+        if len(prefix) == p.n:
+            yield tuple(prefix)
+            return
+        for x in range(p.n):
+            if placed[x] or any(not placed[c] for c in p.lower_covers(x)):
+                continue
+            placed[x] = True
+            prefix.append(x)
+            yield from rec()
+            prefix.pop()
+            placed[x] = False
+
+    return rec()
+
+
 def natural_poset(n: int, related) -> Poset:
     """The poset on ``0..n-1`` generated by the pairs ``(i, j)``, i < j,
     in ``related`` (i below j), built from its cover relation; the
@@ -48,6 +75,21 @@ def natural_poset(n: int, related) -> Poset:
         and not any(up[i] >> k & 1 and up[k] >> j & 1 for k in range(i + 1, j))
     ]
     return Poset(n, covers)
+
+
+def random_posets(seed: int, count: int, sizes: range, max_extensions: int) -> list[Poset]:
+    """``count`` seeded random posets, randomly labeled, with at most
+    ``max_extensions`` linear extensions each."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice(sizes)
+        density = rng.uniform(0.2, 0.5)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+        p = natural_poset(n, pairs).relabel(rng.sample(range(n), n))
+        if sum(1 for _ in islice(p.linear_extensions(), max_extensions + 1)) <= max_extensions:
+            out.append(p)
+    return out
 
 
 @st.composite

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from bisect import insort
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +23,10 @@ from c3control import (
 )
 
 from conftest import (
-    natural_poset,
     posets_of_size,
     posets_with_extension,
     python_mros,
+    random_posets,
     reference_merge,
 )
 
@@ -158,21 +157,6 @@ def tally_additions(p: Poset) -> dict[int, int]:
         t = c3_instrumented(p, g).total_added
         tally[t] = tally.get(t, 0) + 1
     return tally
-
-
-def random_posets(seed: int, count: int, sizes: range, max_extensions: int) -> list[Poset]:
-    """``count`` seeded random posets, randomly labeled, with at most
-    ``max_extensions`` linear extensions each."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n = rng.choice(sizes)
-        density = rng.uniform(0.2, 0.5)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
-        p = natural_poset(n, pairs).relabel(rng.sample(range(n), n))
-        if sum(1 for _ in islice(p.linear_extensions(), max_extensions + 1)) <= max_extensions:
-            out.append(p)
-    return out
 
 
 def test_additions_histogram_small():

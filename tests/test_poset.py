@@ -12,7 +12,7 @@ from c3control import (
     poset_h,
 )
 
-from conftest import posets_of_size
+from conftest import posets_of_size, recursive_linear_extensions
 
 
 def diamond() -> Poset:
@@ -81,6 +81,26 @@ def test_linear_extensions_match_brute_force():
         assert set(listed) == brute
         assert len(listed) == len(brute) == p.linear_extension_count()
         assert listed == sorted(listed)  # lexicographic order, no repeats
+
+
+def test_linear_extensions_match_recursive_reference():
+    # Same extensions in the same order as the recursive generator, on
+    # every poset with n <= 6 under its natural and its reversed labeling,
+    # and on H.
+    posets = [poset_h()]
+    for n in range(7):
+        for p in posets_of_size(n):
+            posets += [p, p.relabel(list(reversed(range(n))))]
+    for p in posets:
+        assert list(p.linear_extensions()) == list(recursive_linear_extensions(p))
+
+
+def test_linear_extensions_of_a_long_chain():
+    # One extension, without exhausting the recursion limit.
+    n = 3000
+    chain = Poset(n, [(i, i + 1) for i in range(n - 1)])
+    assert list(chain.linear_extensions()) == [tuple(range(n))]
+    assert chain.linear_extension_count() == 1
 
 
 def test_linear_extension_is_most_derived_first():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 from collections import Counter
 from itertools import permutations, product
@@ -23,7 +24,7 @@ from c3control import (
 )
 from c3control.search import _c3_all_fail_counts, iso_classes, screen_infeasible
 
-from conftest import natural_poset, posets_of_size, python_mros
+from conftest import natural_poset, posets_of_size, python_mros, random_posets
 
 LABELED = [1, 1, 2, 7, 40, 357]
 ISO = [1, 1, 2, 5, 16, 63]
@@ -86,23 +87,37 @@ def test_labeled_counts_match_labeled_generator():
         assert {r.canonical_key: r.labeled_count for r in summary.records} == grouped
 
 
-def test_run_experiment_against_direct_c3():
-    # The fast counting path must agree with plain per-extension c3_mro.
-    for n in range(5):
-        for p in posets_of_size(n):
-            record = run_experiment(p)
-            b = p.add_bottom()
-            exts = 0
-            fails = 0
-            for g in b.linear_extensions():
-                assert g[0] == 0  # the bottom leads every extension
-                exts += 1
-                mro = c3_mro(b, induced_assignment(b, g), 0)
-                if isinstance(mro, MergeFailure):
-                    fails += 1
-            assert (record.extension_count, record.failure_count) == (exts, fails)
-            assert record.labeled_count == 1
-            assert record.canonical_key == p.canonical_form()
+def direct_c3_counts(p: Poset) -> tuple[int, int]:
+    """(extensions, failures) of plain c3_mro at the bottom of
+    ``p.add_bottom()``, one run per linear extension's induced lists."""
+    b = p.add_bottom()
+    exts = 0
+    fails = 0
+    for g in b.linear_extensions():
+        assert g[0] == 0  # the bottom leads every extension
+        exts += 1
+        if isinstance(c3_mro(b, induced_assignment(b, g), 0), MergeFailure):
+            fails += 1
+    return exts, fails
+
+
+def test_run_experiment_against_direct_c3(h_upper):
+    # The memoised walk, full and screened, must agree with plain
+    # per-extension c3_mro.  Its merges are keyed on their input MROs; a
+    # coarser key (the cover ids, or the element alone) reuses merges
+    # whose inputs differ and miscounts some of these posets.
+    small = [p for n in range(6) for p in posets_of_size(n)]
+    larger = [h_upper, h_upper.relabel(random.Random(7).sample(range(9), 9))]
+    larger += random_posets(seed=13, count=20, sizes=range(8, 11), max_extensions=1500)
+    for p in small + larger:
+        exts, fails = direct_c3_counts(p)
+        assert _c3_all_fail_counts(p) == (exts, fails)
+        assert _c3_all_fail_counts(p, screen=True) == (None if fails < exts else (exts, fails))
+    for p in small:
+        record = run_experiment(p)
+        assert (record.extension_count, record.failure_count) == _c3_all_fail_counts(p)
+        assert record.labeled_count == 1
+        assert record.canonical_key == p.canonical_form()
 
 
 def test_run_experiment_h_minus_f():
