@@ -1,13 +1,13 @@
 """Instrumented C3: given a poset and a global order, compute the minimal
 precedence lists that force C3 to reproduce that order; plus the brute
 force baseline, a comparison-count probe, and the bit-flag sort key
-scheme for choosing global orders.  The replay runs the C3 merge of
-``linearize.merge_kernel``, the one merge loop of the package.
+scheme for choosing global orders.  Each element's replay is one run
+of ``linearize.merge_kernel``, the one merge loop of the package, which
+inserts into the element's list as it merges.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -56,38 +56,22 @@ def _strict_up_sets(p: Poset, g: Sequence[int], pos: Mapping[int, int]) -> list[
 def _replay(covers, target, mros, size: int, key) -> tuple[list[int], list[int]]:
     """Minimal precedence list of an element whose strict up-set, sorted
     by the global order, is ``target``, given the final ``mros`` of its
-    superiors; ``key`` sorts by the global order.
+    superiors; ``key`` sorts by the global order.  Returns the list, grown
+    from the element's covers by one ``merge_kernel`` run with
+    ``want=target``, and the inserted elements in insertion order.
 
-    The list starts as the element's covers.  Each replay is one run of
-    ``merge_kernel`` over the listed superiors' MROs and the list; at the
-    first index where the result leaves ``target``, the desired element
-    (if absent) and the head C3 took instead are inserted at their
-    ``key`` positions, and the replay restarts.  Returns the list and the
-    inserted elements in insertion order.
+    The run inserts past every list pointer, so it gives the list of a
+    replay that restarts after each insertion.  It leaves out the MROs of
+    inserted elements, which c3_mro merges too; they would change no
+    step: an inserted x lies above a cover b whose MRO, earlier in the
+    scan, holds x's, and as the output follows the g-sorted target, x's
+    MRO's tail stays inside b's and its good heads are b's heads too.
     """
     clist = sorted(covers, key=key)
-    inserted: list[int] = []
-    while True:
-        seqs = [mros[b] for b in clist]
-        if clist:
-            seqs.append(clist)
-        merged = merge_kernel(seqs, size)
-        if merged == target:
-            return clist, inserted
-        emitted = merged.processed if isinstance(merged, MergeFailure) else merged
-        d = 0
-        while d < len(emitted) and emitted[d] == target[d]:
-            d += 1
-        if d == len(emitted):
-            raise AssertionError("instrumented merge found no good head")
-        # target[d] precedes the head in g, so a list holding both would
-        # block the head: at least one of them is new
-        new = [x for x in (target[d], emitted[d]) if x not in clist]
-        if not new:
-            raise AssertionError("instrumented merge took a listed head")
-        for x in new:
-            insort(clist, x, key=key)
-        inserted += new
+    if not clist:
+        return clist, []
+    inserted = merge_kernel([*(mros[b] for b in clist), clist], size, want=target)
+    return clist, inserted
 
 
 def c3_instrumented(p: Poset, g: Sequence[int]) -> InstrumentationResult:
@@ -96,10 +80,10 @@ def c3_instrumented(p: Poset, g: Sequence[int]) -> InstrumentationResult:
     Elements are processed least-derived first along ``g`` so every listed
     superior's MRO is final before its inferiors are handled.  Each
     element's list comes from ``_replay`` against its target order (g
-    restricted to the element's strict up-set): whenever the merge's
-    first good head deviates from the target, the offending element is
-    inserted at its g-sorted position (preceded by the target element if
-    absent) and the merge restarts.
+    restricted to the element's strict up-set), one ``merge_kernel`` run
+    per element: whenever the merge's first good head deviates from the
+    target, the offending element is inserted at its g-sorted position
+    (preceded by the target element if absent) and the step is retried.
     """
     pos = _require_extension(p, g)
     ups = _strict_up_sets(p, g, pos)
@@ -138,14 +122,14 @@ def count_additions_per_extension(p: Poset) -> dict[int, int]:
     The extensions are walked superiors first, as a down-set mask of the
     elements still to place: an element is placed once all its strict
     superiors are, and its target is then the placed part of its strict
-    up-set, most derived first, so each walk node runs ``_replay`` for
-    one element instead of each extension replaying every element.  The
-    running insertion total travels down the recursion and each leaf
-    adds one to its bin.  An element's insertion count depends only on
-    its covers, its target and its superiors' MROs, and each of those is
-    the element's own MRO ``(x, *target)`` restricted to the superior's
-    up-set; so the count is memoised on that MRO, that is on (element,
-    target), for the duration of the call.
+    up-set, most derived first, so each walk node runs ``_replay``, one
+    kernel run, for one element instead of each extension replaying
+    every element.  The running insertion total travels down the
+    recursion and each leaf adds one to its bin.  An element's insertion
+    count depends only on its covers, its target and its superiors'
+    MROs, and each of those is the element's own MRO ``(x, *target)``
+    restricted to the superior's up-set; so the count is memoised on that
+    MRO, that is on (element, target), for the duration of the call.
     """
     n = p.n
     upper = p._upper

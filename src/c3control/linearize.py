@@ -10,11 +10,12 @@ search module consumes failures in bulk.
 ``merge_kernel`` is the package's one C3 merge loop: ``c3_merge`` checks
 its input and calls it, and ``c3_mro`` (which checks each precedence
 list once), the search's experiment and instrumentation call it
-directly.
+directly, instrumentation with the order the merge must produce.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, Sequence
@@ -117,6 +118,7 @@ def merge_kernel(
     seqs: Sequence[Sequence[int]],
     size: int,
     counter: StepCounter | None = None,
+    want: Sequence[int] | None = None,
 ):
     """The C3 merge loop that ``c3_merge``, ``c3_mro``, the search and
     instrumentation share.  ``seqs`` are non-empty duplicate-free
@@ -125,6 +127,15 @@ def merge_kernel(
     A head is good iff it occurs in no list's tail, so goodness is one
     lookup in per-id tail-occurrence counts, kept up to date as the list
     pointers advance.  Returns the merged tuple or a MergeFailure.
+
+    ``want``, when given, is the tuple the merge must produce, and
+    ``seqs[-1]`` is a mutable list sorted by ``want`` order.  Whenever
+    the first good head is not ``want[d]``, d the length of the output
+    so far, the kernel inserts ``want[d]`` and then the head, each if
+    absent, into that list past its pointer at their ``want`` positions,
+    and retries the step.  It then returns the inserted elements in
+    insertion order, and raises AssertionError when no head is good or
+    when both elements are already listed.
     """
     k = len(seqs)
     ptr = [0] * k
@@ -136,6 +147,8 @@ def merge_kernel(
     active = k
     result: list[int] = []
     append = result.append
+    inserted: list[int] = []
+    wpos = None
     while active:
         chosen = -1
         for i in range(k):
@@ -151,12 +164,35 @@ def merge_kernel(
                 chosen = head
                 break
         if chosen < 0:
+            if want is not None:
+                raise AssertionError("instrumented merge found no good head")
             return MergeFailure(
                 processed=tuple(result),
                 remaining=tuple(
                     tuple(s[pi:]) for s, pi, n in zip(seqs, ptr, lens) if pi < n
                 ),
             )
+        if want is not None and chosen != want[len(result)]:
+            # want[d] precedes the head in want order, so a list holding
+            # both would block the head: at least one of them is new
+            own = seqs[-1]
+            new = [x for x in (want[len(result)], chosen) if x not in own]
+            if not new:
+                raise AssertionError("instrumented merge took a listed head")
+            pi = ptr[-1]
+            if pi < lens[-1]:
+                tailc[own[pi]] += 1  # the head may be displaced
+            else:
+                active += 1
+            if wpos is None:
+                wpos = {x: i for i, x in enumerate(want)}.__getitem__
+            for x in new:
+                insort(own, x, lo=pi, key=wpos)
+                tailc[x] += 1
+            tailc[own[pi]] -= 1
+            lens[-1] = len(own)
+            inserted += new
+            continue
         append(chosen)
         for i in range(k):
             pi = ptr[i]
@@ -167,7 +203,7 @@ def merge_kernel(
                     tailc[seqs[i][pi]] -= 1
                 else:
                     active -= 1
-    return tuple(result)
+    return tuple(result) if want is None else inserted
 
 
 def _tests_until_blocked(seqs, ptr, lens, i) -> int:

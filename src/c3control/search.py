@@ -86,7 +86,10 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
     seed-1 ``instrument-extensions`` posets, 2,320 kernel calls for
     44,583 merges).  A coarser key is wrong: the cover ids alone miscount posets
     of five elements.  Failures are memoised too, so a pruned subtree is
-    still counted.
+    still counted.  A leaf needs only whether the bottom's merge fails,
+    so the leaf memo keeps that flag, not the merged tuple; its keys, the
+    MROs of minimal elements, never meet an element's merge inputs,
+    which are MROs of upper covers.
 
     The enumeration runs on a natural relabeling, ids ascending from the
     most derived element, because the extensions it then tries first
@@ -132,6 +135,7 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
     exts = 0
     fails = 0
     merges: dict = {}
+    leaves: dict = {}  # the bottom's merge inputs -> whether it fails
 
     def merge(lst: list[int]):
         inputs = tuple(map(mros.__getitem__, lst))
@@ -145,8 +149,13 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
         if not mask:
             exts += 1
             if multi_min:
-                merged = merge(sorted(minimals, key=revkey, reverse=True))
-                if isinstance(merged, MergeFailure):
+                lst = sorted(minimals, key=revkey, reverse=True)
+                inputs = tuple(map(mros.__getitem__, lst))
+                failed = leaves.get(inputs)
+                if failed is None:
+                    merged = merge_kernel([*inputs, lst], n)
+                    failed = leaves[inputs] = isinstance(merged, MergeFailure)
+                if failed:
                     fails += 1
                     return
             if screen:

@@ -9,7 +9,8 @@ the oracle the search's class-by-class generation is checked against.
 other lists' tails, the oracle for ``merge_kernel``.  ``natural_poset``,
 ``random_posets`` and the ``hypothesis`` strategy
 ``posets_with_extension`` draw random posets for the differential and
-property tests.  ``recursive_linear_extensions``, the recursive
+property tests; ``random_family`` grows a large hierarchy class by
+class, and ``random_extension`` draws a seeded linear extension of it.  ``recursive_linear_extensions``, the recursive
 generator that ``Poset.linear_extensions`` replaced, is its oracle.
 """
 
@@ -90,6 +91,46 @@ def random_posets(seed: int, count: int, sizes: range, max_extensions: int) -> l
         if sum(1 for _ in islice(p.linear_extensions(), max_extensions + 1)) <= max_extensions:
             out.append(p)
     return out
+
+
+def random_family(rng: random.Random, size: int) -> list[tuple[int, int]]:
+    """Covers of a grown hierarchy of ``size`` classes: class k > 0
+    directly inherits from a random antichain of 1 to 4 earlier classes,
+    drawn uniformly."""
+    up = [1]
+    covers = []
+    for k in range(1, size):
+        want = rng.randint(1, 4)
+        chosen: list[int] = []
+        for _ in range(8 * want):
+            if len(chosen) == want:
+                break
+            b = rng.randrange(k)
+            if any(b == a or up[b] >> a & 1 or up[a] >> b & 1 for a in chosen):
+                continue
+            chosen.append(b)
+        m = 1 << k
+        for b in chosen:
+            covers.append((k, b))
+            m |= up[b]
+        up.append(m)
+    return covers
+
+
+def random_extension(p: Poset, rng: random.Random) -> tuple[int, ...]:
+    """A random linear extension of ``p``, most derived first: each step
+    places a random element whose lower covers are all placed."""
+    missing = [len(p.lower_covers(x)) for x in range(p.n)]
+    ready = [x for x in range(p.n) if not missing[x]]
+    g: list[int] = []
+    while ready:
+        x = ready.pop(rng.randrange(len(ready)))
+        g.append(x)
+        for a in p.upper_covers(x):
+            missing[a] -= 1
+            if not missing[a]:
+                ready.append(a)
+    return tuple(g)
 
 
 @st.composite

@@ -26,6 +26,8 @@ from conftest import (
     posets_of_size,
     posets_with_extension,
     python_mros,
+    random_extension,
+    random_family,
     random_posets,
     reference_merge,
 )
@@ -93,6 +95,31 @@ def test_instrumented_matches_reference_replay():
         result = c3_instrumented(p, g)
         assert (result.assignment, result.additions) == reference_instrumented(p, g), (p, g)
     assert len(pairs) > 100_000
+
+
+@pytest.mark.parametrize("seed, size", [(1, 150), (2, 220), (3, 300)])
+def test_instrumented_matches_reference_replay_at_depth(seed, size):
+    # Grown families replay their elements many times over, so the one
+    # kernel run per element must insert as the restarting replay does,
+    # under the sort-key order and under a random extension.
+    rng = random.Random(seed)
+    p = Poset(size, random_family(rng, size))
+    for g in (compute_sort_keys(p, []).order, random_extension(p, rng)):
+        result = c3_instrumented(p, g)
+        assert (result.assignment, result.additions) == reference_instrumented(p, g)
+        assert max(map(len, result.additions.values())) >= 4
+
+
+def test_instrument_grown_family_of_3000_classes():
+    # No time bound: the restarting replay took minutes here.
+    p = Poset(3000, random_family(random.Random(1), 3000))
+    g = compute_sort_keys(p, []).order
+    assignment = c3_instrumented(p, g).assignment
+    pos = {x: i for i, x in enumerate(g)}
+    expected = {c: tuple(sorted(p.up_set(c), key=pos.__getitem__)) for c in range(p.n)}
+    cache: dict = {}
+    assert {c: c3_mro(p, assignment, c, cache) for c in range(p.n)} == expected
+    assert python_mros(p, assignment) == expected
 
 
 def test_chain_needs_no_additions():

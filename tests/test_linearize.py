@@ -31,6 +31,7 @@ from c3control import (
     poset_h,
     validate_assignment,
 )
+from c3control.linearize import merge_kernel
 
 from conftest import posets_of_size, posets_with_extension, python_mros, reference_merge
 
@@ -109,6 +110,85 @@ def test_merge_counter_counts_goodness_tests():
     # head 1 is tested against the other list once; after it is emitted
     # the second list is alone, so its head needs no test at all
     assert counter.comparisons == 1
+
+
+# -- merge_kernel's want mode --------------------------------------------
+
+A, B, X, Y, Z = range(5)
+
+
+def test_want_reactivates_an_exhausted_list():
+    # After A and B the element's own list is used up; C3 would take X
+    # before the wanted Y, so Y and X are inserted into the exhausted
+    # list, which blocks X again until Y is out.
+    own = [A, B]
+    inserted = merge_kernel([(B, X, Z), (A, Y, Z), own], 5, want=(A, B, Y, X, Z))
+    assert inserted == [Y, X]
+    assert own == [A, B, Y, X]
+
+
+def test_want_inserts_only_the_head_when_want_is_listed():
+    # At step 1 X is good but B is wanted; B is already listed, so only
+    # X is inserted behind it.
+    own = [A, B]
+    inserted = merge_kernel([(A, X, Z), (B, Y, Z), own], 5, want=(A, B, X, Y, Z))
+    assert inserted == [X]
+    assert own == [A, B, X]
+
+
+def test_want_inserts_both_into_an_active_list():
+    # At step 2 the list still holds Z; Y and X go in before it, and the
+    # displaced head Z is counted as a tail element again.
+    own = [A, B, Z]
+    inserted = merge_kernel([(B, X, Z), (A, Y, Z), own], 5, want=(A, B, Y, X, Z))
+    assert inserted == [Y, X]
+    assert own == [A, B, Y, X, Z]
+
+
+def test_want_raises_where_the_invariant_breaks():
+    with pytest.raises(AssertionError, match="no good head"):
+        merge_kernel([(X, Y), (Y, X), [X, Y]], 5, want=(X, Y))
+    with pytest.raises(AssertionError, match="listed head"):
+        merge_kernel([(A,), [B, A]], 5, want=(A, B))
+
+
+@pytest.mark.parametrize(
+    "order, additions",
+    [
+        (("F", "E3", "E2", "E1", "D3", "D2", "D1", "C", "B", "A"),
+         {"E1": ("B",), "E2": ("A",), "F": ("D3", "D2")}),
+        (("F", "E3", "D3", "E2", "D2", "E1", "C", "D1", "B", "A"),
+         {"E2": ("A",)}),
+    ],
+)
+def test_want_on_h_worked_orders(order, additions):
+    # Each element's list starts as its covers and grows against g
+    # restricted to its strict up-set, the superiors' MROs being g
+    # restricted to theirs.
+    p = poset_h()
+    g = [p.id_of(x) for x in order]
+    pos = {x: i for i, x in enumerate(g)}
+    target = {c: tuple(x for x in g if p.lt(c, x)) for c in g}
+    for c in g:
+        own = sorted(p.upper_covers(c), key=pos.__getitem__)
+        if not own:
+            continue
+        seqs = [(b, *target[b]) for b in own]
+        inserted = merge_kernel([*seqs, own], p.n, want=target[c])
+        assert tuple(p.names[x] for x in inserted) == additions.get(p.names[c], ())
+        assert own == sorted(own, key=pos.__getitem__)
+
+
+def test_plain_kernel_keeps_criterion_10_counts():
+    # want=None is the plain merge: criterion 10's chain totals, merge by
+    # merge, as merge_step_count pins them through c3_mro.
+    for n, cheap, costly in ((8, 7, 140), (16, 15, 1240), (32, 31, 10416), (64, 63, 85344)):
+        for listed_of, total in ((lambda c: (c + 1,), cheap), (lambda c: range(c + 1, n), costly)):
+            counter = StepCounter()
+            for c in range(n - 1):
+                listed = tuple(listed_of(c))
+                merge_kernel([*(tuple(range(b, n)) for b in listed), listed], n, counter, want=None)
+            assert counter.comparisons == total
 
 
 # -- c3_mro on the worked examples --------------------------------------
