@@ -125,7 +125,7 @@ def cmd_instrument(args) -> int:
             "total_added": result.total_added,
         }, sort_keys=True))
     else:
-        for c in sorted(result.assignment, key=order.index):
+        for c in order:
             if not result.assignment[c]:
                 continue
             added = set(result.additions.get(c, ()))
@@ -259,8 +259,7 @@ def cmd_demo_h(args) -> int:
         print("  additions per linear extension:")
         print("    # additional elements " + " ".join(f"{k:>5}" for k in sorted(histogram)))
         print("    # linear extensions   " + " ".join(f"{histogram[k]:>5}" for k in sorted(histogram)))
-        print(f"  histogram {'matches' if hist_ok else 'does NOT match'} "
-              f"{{1: 36, 2: 108, 3: 180, 4: 216, 5: 180}}")
+        print(f"  histogram {'matches' if hist_ok else 'does NOT match'} {_H_HISTOGRAM}")
     return EXIT_OK if no_mro_ok and hist_ok else EXIT_DOMAIN
 
 

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .errors import LinearizationFailedError, NotLinearExtensionError
 from .linearize import MergeFailure, StepCounter, c3_mro, merge_kernel
-from .poset import Poset
+from .poset import Poset, superiors_first
 
 
 @dataclass(frozen=True)
@@ -119,52 +119,40 @@ def count_additions_per_extension(p: Poset) -> dict[int, int]:
     """Histogram: total insertions made by c3_instrumented, tallied over
     every linear extension of the poset.
 
-    The extensions are walked superiors first, as a down-set mask of the
-    elements still to place: an element is placed once all its strict
-    superiors are, and its target is then the placed part of its strict
-    up-set, most derived first, so each walk node runs ``_replay``, one
-    kernel run, for one element instead of each extension replaying
-    every element.  The running insertion total travels down the
-    recursion and each leaf adds one to its bin.  An element's insertion
-    count depends only on its covers, its target and its superiors'
-    MROs, and each of those is the element's own MRO ``(x, *target)``
-    restricted to the superior's up-set; so the count is memoised on that
-    MRO, that is on (element, target), for the duration of the call.
+    The extensions come from ``poset.superiors_first``: an element's
+    target is then the placed part of its strict up-set, most derived
+    first, so each walk node runs ``_replay``, one kernel run, for one
+    element instead of each extension replaying every element.  An
+    element's insertion count depends only on its covers, its target and
+    its superiors' MROs, and each of those is the element's own MRO
+    ``(x, *target)`` restricted to the superior's up-set; so the count is
+    memoised on that MRO, that is on (element, target), for the duration
+    of the call.
     """
     n = p.n
     upper = p._upper
     up_strict = [p._up_mask[x] & ~(1 << x) for x in range(n)]
+    ups = [tuple(y for y in range(n) if up >> y & 1) for up in up_strict]
     placed_at = [0] * n
+    depth_of = placed_at.__getitem__
     key = lambda x: -placed_at[x]  # later placed is more derived
-    placed: list[int] = []
+    totals = [0] * (n + 1)  # totals[d]: insertions made by depths below d
     mros: list = [None] * n
     memo: dict[tuple[int, ...], int] = {}
     histogram: dict[int, int] = {}
 
-    def rec(mask: int, total: int) -> None:
-        if not mask:
-            histogram[total] = histogram.get(total, 0) + 1
-            return
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            x = bit.bit_length() - 1
-            up = up_strict[x]
-            if up & mask:
-                continue  # a strict superior is still to place
-            mro = (x, *(y for y in reversed(placed) if up >> y & 1))
-            added = memo.get(mro)
-            if added is None:
-                added = len(_replay(upper[x], mro[1:], mros, n, key)[1])
-                memo[mro] = added
-            mros[x] = mro
-            placed_at[x] = len(placed)
-            placed.append(x)
-            rec(mask ^ bit, total + added)
-            placed.pop()
+    def place(x: int, depth: int) -> bool:
+        mro = (x, *sorted(ups[x], key=depth_of, reverse=True))
+        added = memo.get(mro)
+        if added is None:
+            added = memo[mro] = len(_replay(upper[x], mro[1:], mros, n, key)[1])
+        mros[x] = mro
+        placed_at[x] = depth
+        totals[depth + 1] = totals[depth] + added
+        return True
 
-    rec((1 << n) - 1, 0)
+    for _ in superiors_first(up_strict, place):
+        histogram[totals[n]] = histogram.get(totals[n], 0) + 1
     return dict(sorted(histogram.items()))
 
 

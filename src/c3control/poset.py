@@ -173,45 +173,22 @@ class Poset:
         return all(pos[c] < pos[a] for c, a in self.covers)
 
     def linear_extensions(self) -> Iterator[tuple[int, ...]]:
-        """All linear extensions, lexicographically by id sequence.
+        """All linear extensions, lexicographically by id sequence:
+        ``superiors_first`` on the dual order, so an element is placed
+        once all of its strict inferiors are."""
+        order = [0] * self.n
 
-        An element becomes available once all of its strict inferiors are
-        placed, so the stream starts from the minimal (most derived)
-        elements.  The backtracking keeps its state in the placed prefix,
-        not in the call stack, so long chains cannot exhaust the
-        interpreter's recursion limit.
-        """
-        n = self.n
-        upper = self._upper
-        placed = [False] * n
-        missing = [len(self._lower[x]) for x in range(n)]  # unplaced lower covers
-        prefix: list[int] = []
-        start = 0  # least id still to try at the current depth
-        while True:
-            if len(prefix) == n:
-                yield tuple(prefix)
-                x = n
-            else:
-                x = start
-                while x < n and (placed[x] or missing[x]):
-                    x += 1
-            if x < n:
-                placed[x] = True
-                for y in upper[x]:
-                    missing[y] -= 1
-                prefix.append(x)
-                start = 0
-                continue
-            if not prefix:
-                return
-            x = prefix.pop()
-            for y in upper[x]:
-                missing[y] += 1
-            placed[x] = False
-            start = x + 1
+        def place(x: int, depth: int) -> bool:
+            order[depth] = x
+            return True
+
+        down_strict = [m & ~(1 << x) for x, m in enumerate(self._down_mask)]
+        for _ in superiors_first(down_strict, place):
+            yield tuple(order)
 
     def linear_extension_count(self) -> int:
-        return sum(1 for _ in self.linear_extensions())
+        up_strict = [m & ~(1 << x) for x, m in enumerate(self._up_mask)]
+        return _count_extensions((1 << self.n) - 1, up_strict, {0: 1})
 
     def antichains(self) -> Iterator[tuple[int, ...]]:
         """All antichains (as sorted id tuples), the empty one included."""
@@ -359,6 +336,80 @@ def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> tuple[byt
         out.append(c)
         out.append(a)
     return bytes(out), ties
+
+
+def superiors_first(up_strict: Sequence[int], step) -> Iterator[int]:
+    """Walk the linear extensions of the order on ``0..n-1`` whose strict
+    up-sets are the bitmasks ``up_strict``, superiors first: each node
+    places an element whose strict superiors are all placed, least id
+    first, and calls ``step(x, depth)``.  A step that returns False cuts
+    off the subtree below; the walk then yields the number of extensions
+    cut off, never 0.  Each extension reached yields 0.  The frames live
+    in per-depth arrays, not on the call stack.
+    """
+    n = len(up_strict)
+    if not n:
+        yield 0
+        return
+    todo = [0] * n  # elements still to place, per depth
+    left = [0] * n  # of those, the ones still to try
+    todo[0] = left[0] = (1 << n) - 1
+    counts = {0: 1}
+    depth = 0
+    while depth >= 0:
+        m = left[depth]
+        if not m:
+            depth -= 1
+            continue
+        bit = m & -m
+        left[depth] = m ^ bit
+        x = bit.bit_length() - 1
+        mask = todo[depth]
+        if up_strict[x] & mask:
+            continue  # a strict superior is still to place
+        rest = mask ^ bit
+        if not step(x, depth):
+            yield _count_extensions(rest, up_strict, counts)
+        elif not rest:
+            yield 0
+        else:
+            depth += 1
+            todo[depth] = left[depth] = rest
+
+
+def _count_extensions(mask: int, up_strict: Sequence[int], counts: dict[int, int]) -> int:
+    """Number of linear extensions of the elements of ``mask``, memoised
+    in ``counts``, which holds ``{0: 1}``: the sum, over its maximal
+    elements, of the count without that element.  On the explicit stack
+    a mask goes back with its maximal elements under its uncounted
+    sub-masks, which are counted first."""
+    todo = [(mask, 0)]
+    while todo:
+        m, top = todo.pop()
+        if m in counts:
+            continue
+        if top:
+            total = 0
+            while top:
+                bit = top & -top
+                top ^= bit
+                total += counts[m ^ bit]
+            counts[m] = total
+            continue
+        top = 0  # the maximal elements of m
+        rest = m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if not up_strict[bit.bit_length() - 1] & m:
+                top |= bit
+        todo.append((m, top))
+        while top:
+            bit = top & -top
+            top ^= bit
+            if m ^ bit not in counts:
+                todo.append((m ^ bit, 0))
+    return counts[mask]
 
 
 def _closure(order: Iterable[int], neigh) -> tuple[int, ...]:

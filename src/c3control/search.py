@@ -31,7 +31,7 @@ from functools import partial
 
 from .errors import ResourceLimitError
 from .linearize import MergeFailure, merge_kernel
-from .poset import Poset, canonical_key
+from .poset import Poset, canonical_key, superiors_first
 
 
 @dataclass(frozen=True)
@@ -62,40 +62,28 @@ class SearchSummary:
 # -- C3 over induced assignments ---------------------------------------
 
 
-class _Feasible(Exception):
-    """Stops a screen at the first extension on which C3 succeeds."""
-
-
 def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | None:
     """(extension_count, failure_count) for the poset with a bottom
-    adjoined, over all linear extensions of the upper part.
+    adjoined, over all linear extensions of the upper part, walked by
+    ``poset.superiors_first``: its step merges the placed element's MRO,
+    a failed merge cuts off the subtree, counted whole as failures, and
+    each leaf merges the bottom.  With ``screen``, the walk stops at the
+    first extension on which C3 succeeds and returns None.
 
-    Extensions are enumerated superiors-first so each element's MRO is
-    computed once per shared suffix of the global order rather than once
-    per extension; a failed merge prunes the whole enumeration subtree,
-    whose size comes from a down-set-mask extension-counting DP.  With
-    ``screen``, the enumeration stops at the first extension on which C3
-    succeeds and returns None, so only infeasible posets are counted in
-    full.
+    Every merge of two or more MROs is memoised for the call on the
+    tuple of its input MROs, an exact key: the merged lists are those
+    MROs and the list of their heads (on the bench's seed-1
+    ``instrument-extensions`` posets, 2,320 kernel calls for 44,583
+    merges).  The cover ids alone are too coarse a key: they miscount
+    posets of five elements.  The leaf memo keeps only whether the
+    bottom's merge fails; its keys, MROs of minimal elements, never meet
+    an element's merge inputs, which are MROs of upper covers.
 
-    Every merge of two or more MROs, an element's and the bottom's at
-    each leaf, is memoised for the call on the tuple of its input MROs.
-    That key is exact: the merged lists are those MROs and the list of
-    their heads.  Different walk nodes often reach the same inputs, and
-    different elements too, so most merges are lookups (on the bench's
-    seed-1 ``instrument-extensions`` posets, 2,320 kernel calls for
-    44,583 merges).  A coarser key is wrong: the cover ids alone miscount posets
-    of five elements.  Failures are memoised too, so a pruned subtree is
-    still counted.  A leaf needs only whether the bottom's merge fails,
-    so the leaf memo keeps that flag, not the merged tuple; its keys, the
-    MROs of minimal elements, never meet an element's merge inputs,
-    which are MROs of upper covers.
-
-    The enumeration runs on a natural relabeling, ids ascending from the
-    most derived element, because the extensions it then tries first
-    let C3 succeed far more often: on seeded samples of the posets of 9
-    elements, a screen runs six to seven times fewer merges than on their
-    canonical labelings.
+    The walk runs on a natural relabeling, ids ascending from the most
+    derived element, because the extensions it then tries first let C3
+    succeed far more often: on seeded samples of the posets of 9
+    elements, a screen runs six to seven times fewer merges than on
+    their canonical labelings.
     """
     n = p.n
     order = sorted(range(n), key=lambda x: -p._up_mask[x].bit_count())
@@ -110,83 +98,50 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
     minimals = [new[x] for x in p.minimal_elements()]
     multi_min = len(minimals) > 1
 
-    ecount_memo = {0: 1}
-
-    def ecount(mask: int) -> int:
-        cached = ecount_memo.get(mask)
-        if cached is not None:
-            return cached
-        total = 0
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            x = bit.bit_length() - 1
-            if not up_strict[x] & mask:
-                total += ecount(mask ^ bit)
-        ecount_memo[mask] = total
-        return total
-
     # A maximal element's MRO is (x,) on every path: one tuple, so the
     # memo's keys share it.
     mros: list = [(x,) for x in range(n)]
     revpos = [0] * n
     revkey = revpos.__getitem__
-    exts = 0
-    fails = 0
     merges: dict = {}
     leaves: dict = {}  # the bottom's merge inputs -> whether it fails
 
-    def merge(lst: list[int]):
-        inputs = tuple(map(mros.__getitem__, lst))
-        merged = merges.get(inputs)
-        if merged is None:
-            merged = merges[inputs] = merge_kernel([*inputs, lst], n)
-        return merged
+    def place(x: int, depth: int) -> bool:
+        covs = upper[x]
+        revpos[x] = depth
+        if len(covs) == 1:
+            # merge(MRO(b), (b,)) is always MRO(b)
+            mros[x] = (x, *mros[covs[0]])
+        elif covs:
+            lst = sorted(covs, key=revkey, reverse=True)
+            inputs = tuple(map(mros.__getitem__, lst))
+            merged = merges.get(inputs)
+            if merged is None:
+                merged = merges[inputs] = merge_kernel([*inputs, lst], n)
+            if isinstance(merged, MergeFailure):
+                return False
+            mros[x] = (x, *merged)
+        return True
 
-    def rec(mask: int, depth: int) -> None:
-        nonlocal exts, fails
-        if not mask:
-            exts += 1
-            if multi_min:
-                lst = sorted(minimals, key=revkey, reverse=True)
-                inputs = tuple(map(mros.__getitem__, lst))
-                failed = leaves.get(inputs)
-                if failed is None:
-                    merged = merge_kernel([*inputs, lst], n)
-                    failed = leaves[inputs] = isinstance(merged, MergeFailure)
-                if failed:
-                    fails += 1
-                    return
-            if screen:
-                raise _Feasible
-            return
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            x = bit.bit_length() - 1
-            if up_strict[x] & mask:
-                continue  # not maximal among the remaining elements
-            covs = upper[x]
-            revpos[x] = depth
-            if len(covs) == 1:
-                # merge(MRO(b), (b,)) is always MRO(b)
-                mros[x] = (x, *mros[covs[0]])
-            elif covs:
-                merged = merge(sorted(covs, key=revkey, reverse=True))
-                if isinstance(merged, MergeFailure):
-                    pruned = ecount(mask ^ bit)
-                    exts += pruned
-                    fails += pruned
-                    continue
-                mros[x] = (x, *merged)
-            rec(mask ^ bit, depth + 1)
-
-    try:
-        rec((1 << n) - 1, 0)
-    except _Feasible:
-        return None
+    exts = fails = 0
+    for cut in superiors_first(up_strict, place):
+        if cut:
+            exts += cut
+            fails += cut
+            continue
+        exts += 1
+        if multi_min:
+            lst = sorted(minimals, key=revkey, reverse=True)
+            inputs = tuple(map(mros.__getitem__, lst))
+            failed = leaves.get(inputs)
+            if failed is None:
+                merged = merge_kernel([*inputs, lst], n)
+                failed = leaves[inputs] = isinstance(merged, MergeFailure)
+            if failed:
+                fails += 1
+                continue
+        if screen:
+            return None
     return exts, fails
 
 

@@ -194,3 +194,11 @@ def test_demo_h_full(capsys):
     assert code == EXIT_OK
     assert "720/720" in out
     assert "histogram matches" in out
+    assert out == (
+        "Poset H, bottom element F:\n"
+        "  induced-assignment C3 failures: 720/720 (ok)\n"
+        "  additions per linear extension:\n"
+        "    # additional elements     1     2     3     4     5\n"
+        "    # linear extensions      36   108   180   216   180\n"
+        "  histogram matches {1: 36, 2: 108, 3: 180, 4: 216, 5: 180}\n"
+    )

@@ -131,6 +131,14 @@ def test_chain_needs_no_additions():
     assert result.assignment == induced_assignment(p, g)
 
 
+def test_histogram_of_a_long_chain():
+    # One extension and no insertion, without exhausting the recursion
+    # limit.
+    n = 2000
+    p = Poset(n, [(i, i + 1) for i in range(n - 1)])
+    assert count_additions_per_extension(p) == {0: 1}
+
+
 def test_non_extension_rejected():
     p = chain(3)
     with pytest.raises(NotLinearExtensionError):

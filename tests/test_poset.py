@@ -3,6 +3,8 @@
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from c3control import (
     CycleError,
@@ -11,8 +13,9 @@ from c3control import (
     Poset,
     poset_h,
 )
+from c3control.poset import superiors_first
 
-from conftest import posets_of_size, recursive_linear_extensions
+from conftest import posets_of_size, posets_with_extension, recursive_linear_extensions
 
 
 def diamond() -> Poset:
@@ -101,6 +104,51 @@ def test_linear_extensions_of_a_long_chain():
     chain = Poset(n, [(i, i + 1) for i in range(n - 1)])
     assert list(chain.linear_extensions()) == [tuple(range(n))]
     assert chain.linear_extension_count() == 1
+
+
+def test_linear_extension_count_of_an_antichain():
+    # 12! extensions, counted by the down-set DP without listing them.
+    assert Poset(12, []).linear_extension_count() == 479_001_600
+
+
+def walk(p: Poset, refused) -> tuple[list[tuple[int, ...]], int]:
+    """The extensions that ``superiors_first`` reaches on ``p``, most
+    derived first, and its leaves plus cut-off counts, with a step that
+    refuses the (element, depth) pairs in ``refused``."""
+    up_strict = [p.up_mask(x) & ~(1 << x) for x in range(p.n)]
+    placed = [0] * p.n
+    accepted = [True]
+
+    def step(x: int, depth: int) -> bool:
+        placed[depth] = x
+        accepted[0] = (x, depth) not in refused
+        return accepted[0]
+
+    leaves, total = [], 0
+    for cut in superiors_first(up_strict, step):
+        if accepted[0]:
+            assert cut == 0
+            leaves.append(tuple(reversed(placed)))
+            total += 1
+        else:
+            assert cut > 0
+            total += cut
+    return leaves, total
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    posets_with_extension(max_n=7),
+    st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=6),
+)
+def test_superiors_first_counts_every_extension(case, refused):
+    p, _g = case
+    brute = {order for order in permutations(range(p.n)) if p.is_linear_extension(order)}
+    leaves, total = walk(p, refused)
+    assert total == len(brute)
+    assert len(set(leaves)) == len(leaves) and set(leaves) <= brute
+    leaves, total = walk(p, set())
+    assert sorted(leaves) == sorted(brute) and total == len(brute)
 
 
 def test_linear_extension_is_most_derived_first():

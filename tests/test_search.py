@@ -128,6 +128,20 @@ def test_run_experiment_h_minus_f():
     assert record.infeasible
 
 
+def test_experiment_on_long_chains():
+    # The walk and its extension-counting DP keep their frames off the
+    # call stack.
+    n = 2000
+    assert _c3_all_fail_counts(Poset(n, [(i, i + 1) for i in range(n - 1)])) == (1, 0)
+    # H with a chain of 1,500 elements under F: F's merge fails on every
+    # path, and the DP counts the extensions of the chain below it.
+    h = poset_h()
+    k = 1500
+    covers = [*h.covers, (h.n, h.id_of("F"))]
+    covers += [(h.n + i + 1, h.n + i) for i in range(k - 1)]
+    assert _c3_all_fail_counts(Poset(h.n + k, covers)) == (720, 720)
+
+
 def test_map_reduce_counts():
     for n, (labeled, iso) in enumerate(zip(LABELED, ISO)):
         summary = map_reduce_search(n)
