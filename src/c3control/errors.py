@@ -32,7 +32,7 @@ class NotReducedError(InputError):
         super().__init__(f"cover {pair[0]} -> {pair[1]} is transitively implied")
 
 
-class DuplicateNameError(C3ControlError):
+class DuplicateNameError(InputError):
     """Two elements share a display name."""
 
     def __init__(self, name):

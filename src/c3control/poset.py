@@ -32,6 +32,8 @@ class Poset:
     __slots__ = ("n", "names", "covers", "_upper", "_lower", "_up_mask", "_down_mask")
 
     def __init__(self, n: int, covers: Iterable[tuple[int, int]], names: Sequence[str] | None = None):
+        if n < 0:
+            raise InputError(f"negative element count {n}")
         covers = frozenset((int(c), int(a)) for c, a in covers)
         if names is None:
             names = tuple(str(i) for i in range(n))
@@ -191,22 +193,26 @@ class Poset:
         return _count_extensions((1 << self.n) - 1, up_strict, {0: 1})
 
     def antichains(self) -> Iterator[tuple[int, ...]]:
-        """All antichains (as sorted id tuples), the empty one included."""
-        comp = [
-            (self._up_mask[x] | self._down_mask[x]) & ~(1 << x)
-            for x in range(self.n)
-        ]
-
-        def rec(start: int, chosen: list[int], blocked: int) -> Iterator[tuple[int, ...]]:
+        """All antichains (as sorted id tuples), the empty one included,
+        each followed by its extensions with larger ids.  The candidates
+        still to try live in per-depth bitmasks, not on the call stack."""
+        comp = [self._up_mask[x] | self._down_mask[x] for x in range(self.n)]
+        chosen: list[int] = []
+        left = [(1 << self.n) - 1]
+        yield ()
+        while left:
+            m = left[-1]
+            if not m:
+                left.pop()
+                if chosen:
+                    chosen.pop()
+                continue
+            bit = m & -m
+            left[-1] = rest = m ^ bit
+            x = bit.bit_length() - 1
+            chosen.append(x)
             yield tuple(chosen)
-            for x in range(start, self.n):
-                if blocked >> x & 1:
-                    continue
-                chosen.append(x)
-                yield from rec(x + 1, chosen, blocked | comp[x])
-                chosen.pop()
-
-        return rec(0, [], 0)
+            left.append(rest & ~comp[x])
 
     # -- derived posets --------------------------------------------------
 
@@ -256,7 +262,10 @@ class Poset:
     @classmethod
     def from_canonical_key(cls, key: bytes) -> "Poset":
         """The poset whose cover pairs are those encoded in ``key``; its
-        ``canonical_form()`` is ``key``."""
+        ``canonical_form()`` is ``key``.  A key of even length is
+        malformed and raises InputError."""
+        if len(key) % 2 != 1:
+            raise InputError(f"malformed canonical key {key!r}")
         return cls(key[0], zip(key[1::2], key[2::2]))
 
 

@@ -40,7 +40,11 @@ class SearchRecord:
     extension_count: int
     failure_count: int
     labeled_count: int
-    representative: Poset
+
+    @property
+    def representative(self) -> Poset:
+        """Decoded on each access: a record holds only its key and counts."""
+        return Poset.from_canonical_key(self.canonical_key)
 
     @property
     def infeasible(self) -> bool:
@@ -147,15 +151,15 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
 
 def run_experiment(poset_upper: Poset) -> SearchRecord:
     """Adjoin a bottom element, run C3 for every linear extension with the
-    induced precedence lists, and tally failures.  The canonical key is
-    computed on the upper poset."""
+    induced precedence lists, and tally failures.  The record keeps the
+    upper poset's canonical key, so its ``representative`` is the class's
+    canonical labeling, not ``poset_upper``."""
     exts, fails = _c3_all_fail_counts(poset_upper)
     return SearchRecord(
         canonical_key=poset_upper.canonical_form(),
         extension_count=exts,
         failure_count=fails,
         labeled_count=1,
-        representative=poset_upper,
     )
 
 
@@ -207,7 +211,7 @@ def _next_level(keys, k: int) -> dict[bytes, int]:
     return out
 
 
-def _record(key: bytes, automorphisms: int, rep: Poset, counts) -> SearchRecord:
+def _record(key: bytes, automorphisms: int, counts) -> SearchRecord:
     """A class's record: its e / |Aut| labeled members times the
     experiment's ``(extensions, failures)``."""
     exts, fails = counts
@@ -221,21 +225,17 @@ def _record(key: bytes, automorphisms: int, rep: Poset, counts) -> SearchRecord:
         extension_count=labeled * exts,
         failure_count=labeled * fails,
         labeled_count=labeled,
-        representative=rep,
     )
 
 
-def _experiment(key: bytes, screen: bool) -> tuple[Poset | None, tuple[int, int] | None]:
-    """The representative decoded from ``key`` and its experiment's
-    result; a screened-out class's representative is None."""
-    rep = Poset.from_canonical_key(key)
-    counts = _c3_all_fail_counts(rep, screen)
-    return (None if counts is None else rep), counts
+def _experiment(key: bytes, screen: bool) -> tuple[int, int] | None:
+    """The experiment on the class of ``key``; None if screened out."""
+    return _c3_all_fail_counts(Poset.from_canonical_key(key), screen)
 
 
 def _experiments(
     keys: list[bytes], workers: int, screen: bool = False
-) -> list[tuple[Poset | None, tuple[int, int] | None]]:
+) -> list[tuple[int, int] | None]:
     """``_experiment`` for every key, in order.  It runs in this process,
     or in a pool of ``workers`` processes that takes the keys in chunks."""
     if workers <= 1:
@@ -258,17 +258,14 @@ def map_reduce_search(
     The classes are generated in this process; with several ``workers``
     a pool runs the experiments over chunks of them.  The result is
     independent of ``workers``.  Depths 8 and above are rejected unless
-    ``allow_large`` is set: n = 8 takes about 65 s on one CPU of a 2-core
+    ``allow_large`` is set: n = 8 takes about 50 s on one CPU of a 2-core
     x86-64 machine, most of it in the experiments, and at n = 9
     ``find_infeasible``, which screens instead of counting, answers in
     about a minute and a half.
     """
     classes = iso_classes(n, allow_large)
     results = _experiments([key for key, _ in classes], workers)
-    records = tuple(
-        _record(key, automorphisms, *result)
-        for (key, automorphisms), result in zip(classes, results)
-    )
+    records = tuple(_record(*c, counts) for c, counts in zip(classes, results))
     return SearchSummary(
         n=n,
         labeled_poset_count=sum(r.labeled_count for r in records),
@@ -285,11 +282,7 @@ def screen_infeasible(
     extension on which C3 succeeds, so only infeasible classes are
     counted in full."""
     results = _experiments([key for key, _ in classes], workers, screen=True)
-    return [
-        _record(key, automorphisms, rep, counts)
-        for (key, automorphisms), (rep, counts) in zip(classes, results)
-        if counts is not None
-    ]
+    return [_record(*c, counts) for c, counts in zip(classes, results) if counts is not None]
 
 
 def find_infeasible(

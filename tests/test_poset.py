@@ -1,6 +1,6 @@
 """Poset core: validation, order queries, enumeration, canonical form."""
 
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from c3control import (
     CycleError,
     DuplicateNameError,
+    InputError,
     NotReducedError,
     Poset,
     poset_h,
@@ -43,8 +44,20 @@ def test_transitive_edge_rejected():
 
 
 def test_duplicate_names_rejected():
-    with pytest.raises(DuplicateNameError):
+    with pytest.raises(DuplicateNameError) as exc:
         Poset(2, [], ["X", "X"])
+    assert isinstance(exc.value, InputError)
+
+
+def test_negative_size_rejected():
+    with pytest.raises(InputError):
+        Poset(-1, [])
+
+
+@pytest.mark.parametrize("key", [b"", b"\x03\x00", b"\x02\x00\x01\x00"])
+def test_malformed_canonical_key_rejected(key):
+    with pytest.raises(InputError):
+        Poset.from_canonical_key(key)
 
 
 def test_bad_cover_ids_rejected():
@@ -166,6 +179,15 @@ def test_antichains_match_brute_force():
                     brute.add(sub)
         assert set(p.antichains()) == brute
         assert () in brute
+
+
+def test_antichains_of_a_wide_antichain():
+    # The enumeration keeps its frames off the call stack: the first
+    # antichains of 1,200 incomparable elements are the growing prefixes.
+    n = 1200
+    first = list(islice(Poset(n, []).antichains(), n + 5))
+    assert first[: n + 1] == [tuple(range(k)) for k in range(n + 1)]
+    assert first[n + 1] == (*range(n - 2), n - 1)
 
 
 def test_restrict_diamond():
