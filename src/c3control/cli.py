@@ -51,10 +51,17 @@ def fixture_path(name: str) -> Path:
 
 def _load(path: str) -> HierarchyFile:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise HierarchyParseError(f"cannot read {path}: {exc}") from exc
     return parse_hierarchy(text, source=path)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _failure_report(p, failure: MergeFailure) -> str:
@@ -141,7 +148,7 @@ def cmd_instrument(args) -> int:
             for c, seq in result.assignment.items()
             if seq
         }
-        Path(args.write_back).write_text(serialize_hierarchy(h))
+        _write(args.write_back, serialize_hierarchy(h))
     return EXIT_OK
 
 
@@ -149,7 +156,7 @@ def cmd_check(args) -> int:
     h = _load(args.file)
     p = h.to_poset()
     if args.dot:
-        Path(args.dot).write_text(to_dot(h))
+        _write(args.dot, to_dot(h))
     assignment = h.assignment_for(p)
     validate_assignment(p, assignment)
     # The extended-precedence condition is strictly stronger than what a

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import LinearizationFailedError, NotLinearExtensionError
+from .errors import InputError, LinearizationFailedError, NotLinearExtensionError
 from .linearize import MergeFailure, StepCounter, c3_mro, merge_kernel
 from .poset import Poset, superiors_first
 
@@ -151,7 +151,7 @@ def count_additions_per_extension(p: Poset) -> dict[int, int]:
         totals[depth + 1] = totals[depth] + added
         return True
 
-    for _ in superiors_first(up_strict, place):
+    for _ in superiors_first(up_strict, p._lower, place):
         histogram[totals[n]] = histogram.get(totals[n], 0) + 1
     return dict(sorted(histogram.items()))
 
@@ -188,8 +188,14 @@ def compute_sort_keys(p: Poset, important: Sequence[int]) -> SortKeyResult:
     in its reflexive up-set; important[0] carries the most significant
     bit.  The induced order sorts by descending (flags, counter), counter
     being the element id (stand-in for creation order: more derived
-    elements are created later).
+    elements are created later).  Raises InputError unless ``important``
+    holds distinct element ids.
     """
+    for x in important:
+        if not (isinstance(x, int) and 0 <= x < p.n):
+            raise InputError(f"important element {x!r} is not an id in 0..{p.n - 1}")
+    if len(set(important)) != len(important):
+        raise InputError(f"important elements {list(important)!r} repeat an id")
     m = len(important)
     bit = {x: 1 << (m - 1 - i) for i, x in enumerate(important)}
     keys = {}

@@ -102,7 +102,19 @@ def c3_merge(
     seqs = [tuple(l) for l in lists if l]
     for s in seqs:
         _check_list(s)
-    return merge_kernel(seqs, 1 + max(map(max, seqs), default=-1), counter)
+    # The kernel's tail counts take one slot per id up to the largest, so
+    # it runs on dense ids, in first-seen order, mapped back after.
+    dense: dict[int, int] = {}
+    result = merge_kernel(
+        [tuple(dense.setdefault(x, len(dense)) for x in s) for s in seqs], len(dense), counter
+    )
+    label = list(dense)
+    if isinstance(result, MergeFailure):
+        return MergeFailure(
+            tuple(label[x] for x in result.processed),
+            tuple(tuple(label[x] for x in r) for r in result.remaining),
+        )
+    return tuple(label[x] for x in result)
 
 
 def _check_list(s: Sequence[int]) -> None:

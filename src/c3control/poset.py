@@ -9,7 +9,7 @@ of its strict superiors.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -67,34 +67,24 @@ class Poset:
         self._check_reduced()
 
     def _topological_order(self) -> list[int]:
-        """Every element after all of its upper covers: the post-order of
-        a depth-first search along upper covers.  Raises CycleError on a
-        cycle."""
-        # An explicit stack of cover iterators, so long chains cannot
-        # exhaust the interpreter's recursion limit.
-        order: list[int] = []
-        state = [0] * self.n  # 0 unseen, 1 on stack, 2 done
-        for root in range(self.n):
-            if state[root]:
-                continue
-            state[root] = 1
-            stack_path = [root]
-            pending = [iter(self._upper[root])]
-            while pending:
-                for y in pending[-1]:
-                    if state[y] == 1:
-                        cycle = stack_path[stack_path.index(y):] + [y]
-                        raise CycleError([self.names[z] for z in cycle])
-                    if state[y] == 0:
-                        state[y] = 1
-                        stack_path.append(y)
-                        pending.append(iter(self._upper[y]))
-                        break
-                else:
-                    pending.pop()
-                    x = stack_path.pop()
-                    state[x] = 2
-                    order.append(x)
+        """Kahn's order from the maximal elements: an element joins once
+        all of its upper covers have.  Raises CycleError on a cycle."""
+        pending = [len(u) for u in self._upper]  # upper covers not yet ordered
+        order = [x for x in range(self.n) if not pending[x]]
+        for x in order:  # the list grows as it is read
+            for c in self._lower[x]:
+                pending[c] -= 1
+                if not pending[c]:
+                    order.append(c)
+        if len(order) < self.n:
+            # Every left-over element has a left-over upper cover: follow
+            # the first one from the first left-over element until a repeat.
+            x = next(x for x in range(self.n) if pending[x])
+            at: dict[int, int] = {}  # the path so far, with positions
+            while x not in at:
+                at[x] = len(at)
+                x = next(y for y in self._upper[x] if pending[y])
+            raise CycleError([self.names[z] for z in [*at][at[x]:] + [x]])
         return order
 
     def _check_reduced(self) -> None:
@@ -185,12 +175,13 @@ class Poset:
             return True
 
         down_strict = [m & ~(1 << x) for x, m in enumerate(self._down_mask)]
-        for _ in superiors_first(down_strict, place):
+        for _ in superiors_first(down_strict, self._upper, place):
             yield tuple(order)
 
     def linear_extension_count(self) -> int:
         up_strict = [m & ~(1 << x) for x, m in enumerate(self._up_mask)]
-        return _count_extensions((1 << self.n) - 1, up_strict, {0: 1})
+        top = sum(1 << x for x in self.maximal_elements())
+        return _count_extensions((1 << self.n) - 1, top, up_strict, self._lower, {0: 1})
 
     def antichains(self) -> Iterator[tuple[int, ...]]:
         """All antichains (as sorted id tuples), the empty one included,
@@ -274,9 +265,9 @@ def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> tuple[byt
     with the given cover pairs, upper and lower cover lists and reflexive
     up-/down-set bitmasks.
 
-    Iterative partition refinement on degree/level signatures, then a
-    backtracking minimum over the remaining within-cell permutations of
-    the relabeled cover set.  Every automorphism preserves the cells, and
+    Iterative partition refinement on degree/level signatures, then the
+    minimum, over every product of within-cell permutations, of the
+    relabeled cover set.  Every automorphism preserves the cells, and
     two of these relabelings give the same cover set iff they differ by
     an automorphism, so the number that reach the minimum is the order of
     the automorphism group.  Callers that already hold the cover
@@ -312,33 +303,20 @@ def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> tuple[byt
         cells.setdefault(color[x], []).append(x)
     ordered_cells = [cells[c] for c in sorted(cells)]
 
-    covers = sorted(covers)
     pos = [0] * n
     best: list[tuple[int, int]] | None = None
-    ties = 1
-
-    def assign(cell_idx: int, offset: int) -> None:
-        nonlocal best, ties
-        if cell_idx == len(ordered_cells):
-            enc = sorted((pos[c], pos[a]) for c, a in covers)
-            if best is None or enc < best:
-                best = enc
-                ties = 1
-            elif enc == best:
-                ties += 1
-            return
-        cell = ordered_cells[cell_idx]
-        for perm in permutations(cell):
-            for i, x in enumerate(perm):
-                pos[x] = offset + i
-            assign(cell_idx + 1, offset + len(cell))
-
-    if len(ordered_cells) == n:
-        for off, cell in enumerate(ordered_cells):
-            pos[cell[0]] = off
-        best = sorted((pos[c], pos[a]) for c, a in covers)
-    else:
-        assign(0, 0)
+    ties = 0
+    for perms in product(*map(permutations, ordered_cells)):
+        i = 0
+        for perm in perms:
+            for x in perm:
+                pos[x] = i
+                i += 1
+        enc = sorted((pos[c], pos[a]) for c, a in covers)
+        if best is None or enc < best:
+            best, ties = enc, 1
+        elif enc == best:
+            ties += 1
 
     out = bytearray([n])
     for c, a in best:
@@ -347,22 +325,28 @@ def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> tuple[byt
     return bytes(out), ties
 
 
-def superiors_first(up_strict: Sequence[int], step) -> Iterator[int]:
+def superiors_first(up_strict: Sequence[int], lower, step) -> Iterator[int]:
     """Walk the linear extensions of the order on ``0..n-1`` whose strict
-    up-sets are the bitmasks ``up_strict``, superiors first: each node
-    places an element whose strict superiors are all placed, least id
-    first, and calls ``step(x, depth)``.  A step that returns False cuts
-    off the subtree below; the walk then yields the number of extensions
-    cut off, never 0.  Each extension reached yields 0.  The frames live
-    in per-depth arrays, not on the call stack.
+    up-sets are the bitmasks ``up_strict`` and whose lower covers are
+    ``lower``, superiors first: each node places a ready element, one
+    whose strict superiors are all placed, least id first, and calls
+    ``step(x, depth)``.  A step that returns False cuts off the subtree
+    below; the walk then yields the number of extensions cut off, never
+    0.  Each extension reached yields 0.  The frames live in per-depth
+    arrays, not on the call stack: the elements still to place, the
+    ready ones, and of those the ones still to try.  Placing x leaves the
+    ready set without x, plus each lower cover of x whose strict
+    superiors are now all placed.
     """
     n = len(up_strict)
     if not n:
         yield 0
         return
-    todo = [0] * n  # elements still to place, per depth
-    left = [0] * n  # of those, the ones still to try
-    todo[0] = left[0] = (1 << n) - 1
+    todo = [0] * n
+    ready = [0] * n
+    left = [0] * n
+    todo[0] = (1 << n) - 1
+    ready[0] = left[0] = sum(1 << x for x in range(n) if not up_strict[x])
     counts = {0: 1}
     depth = 0
     while depth >= 0:
@@ -373,31 +357,34 @@ def superiors_first(up_strict: Sequence[int], step) -> Iterator[int]:
         bit = m & -m
         left[depth] = m ^ bit
         x = bit.bit_length() - 1
-        mask = todo[depth]
-        if up_strict[x] & mask:
-            continue  # a strict superior is still to place
-        rest = mask ^ bit
+        rest = todo[depth] ^ bit
+        top = ready[depth] ^ bit
+        for c in lower[x]:
+            if not up_strict[c] & rest:
+                top |= 1 << c
         if not step(x, depth):
-            yield _count_extensions(rest, up_strict, counts)
+            yield _count_extensions(rest, top, up_strict, lower, counts)
         elif not rest:
             yield 0
         else:
             depth += 1
-            todo[depth] = left[depth] = rest
+            todo[depth] = rest
+            ready[depth] = left[depth] = top
 
 
-def _count_extensions(mask: int, up_strict: Sequence[int], counts: dict[int, int]) -> int:
-    """Number of linear extensions of the elements of ``mask``, memoised
-    in ``counts``, which holds ``{0: 1}``: the sum, over its maximal
-    elements, of the count without that element.  On the explicit stack
-    a mask goes back with its maximal elements under its uncounted
+def _count_extensions(mask: int, top: int, up_strict: Sequence[int], lower, counts) -> int:
+    """Number of linear extensions of the down-set ``mask`` whose maximal
+    elements are ``top``, memoised in ``counts``, which holds ``{0: 1}``:
+    the sum, over its maximal elements x, of the count without x.  The
+    maximal elements of a sub-mask follow as in ``superiors_first``.  On
+    the explicit stack a mask goes back, marked, under its uncounted
     sub-masks, which are counted first."""
-    todo = [(mask, 0)]
+    todo = [(mask, top, False)]
     while todo:
-        m, top = todo.pop()
+        m, top, expanded = todo.pop()
         if m in counts:
             continue
-        if top:
+        if expanded:
             total = 0
             while top:
                 bit = top & -top
@@ -405,19 +392,18 @@ def _count_extensions(mask: int, up_strict: Sequence[int], counts: dict[int, int
                 total += counts[m ^ bit]
             counts[m] = total
             continue
-        top = 0  # the maximal elements of m
-        rest = m
+        todo.append((m, top, True))
+        rest = top
         while rest:
             bit = rest & -rest
             rest ^= bit
-            if not up_strict[bit.bit_length() - 1] & m:
-                top |= bit
-        todo.append((m, top))
-        while top:
-            bit = top & -top
-            top ^= bit
-            if m ^ bit not in counts:
-                todo.append((m ^ bit, 0))
+            sub = m ^ bit
+            if sub not in counts:
+                subtop = top ^ bit
+                for c in lower[bit.bit_length() - 1]:
+                    if not up_strict[c] & sub:
+                        subtop |= 1 << c
+                todo.append((sub, subtop, False))
     return counts[mask]
 
 

@@ -95,6 +95,7 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
     for i, x in enumerate(order):
         new[x] = i
     upper = [tuple(new[a] for a in p._upper[x]) for x in order]
+    lower = [tuple(new[c] for c in p._lower[x]) for x in order]
     up_strict = [0] * n
     for i in reversed(range(n)):  # superiors have larger ids
         for a in upper[i]:
@@ -128,7 +129,7 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
         return True
 
     exts = fails = 0
-    for cut in superiors_first(up_strict, place):
+    for cut in superiors_first(up_strict, lower, place):
         if cut:
             exts += cut
             fails += cut

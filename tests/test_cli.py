@@ -122,6 +122,17 @@ def test_check_dot_export(tmp_path, capsys):
     assert dot_file.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("argv", [
+    ("instrument", fx("h_alt_order"), "--write-back"),
+    ("check", fx("c3deviates"), "--dot"),
+])
+def test_unwritable_output_is_input_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out"
+    code, _, err = run(capsys, *argv, str(target))
+    assert code == EXIT_INPUT
+    assert err.startswith(f"error: cannot write {target}:") and len(err.splitlines()) == 1
+
+
 def test_search_text(capsys):
     code, out, _ = run(capsys, "search", "4")
     assert code == EXIT_OK
@@ -181,6 +192,15 @@ def test_malformed_hierarchy_is_input_error(tmp_path, capsys, case):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_undecodable_hierarchy_is_input_error(tmp_path, capsys):
+    path = tmp_path / "not_utf8.hier"
+    path.write_bytes(b"\xff\xfeelements: A B\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: cannot read") and len(err.splitlines()) == 1
 
 
 def test_demo_h_quiet(capsys):

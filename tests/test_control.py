@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from c3control import (
+    InputError,
     MergeFailure,
     NotLinearExtensionError,
     Poset,
@@ -266,6 +267,12 @@ def test_sort_keys_on_h():
     assert result.keys[name("C")].flags == 0b100
     assert result.keys[name("D1")].flags == 0b011  # above B and A only
     assert result.keys[name("F")].flags == 0b111
+
+
+@pytest.mark.parametrize("important", [[0, 0], [99], [-1], [10], ["A"]])
+def test_sort_keys_reject_bad_important_ids(important):
+    with pytest.raises(InputError):
+        compute_sort_keys(poset_h(), important)
 
 
 def test_sort_keys_can_fail_to_extend():

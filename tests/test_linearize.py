@@ -9,6 +9,7 @@ MergeFailure).
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,24 @@ def test_merge_failure_state():
     assert not result
     assert result.processed == (1,)
     assert result.remaining == ((0, 2), (2, 0))
+
+
+def test_merge_keeps_large_labels():
+    assert c3_merge([(10**6, 7), (7, 3)]) == (10**6, 7, 3)
+    result = c3_merge([(10**6, 5, 10**5), (10**5, 5)])
+    assert result.processed == (10**6,)
+    assert result.remaining == ((5, 10**5), (10**5, 5))
+
+
+def test_merge_memory_does_not_follow_the_largest_label():
+    # one count slot per distinct element, not per id up to the largest
+    tracemalloc.start()
+    try:
+        assert c3_merge([[10**7], [10**7]]) == (10**7,)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_merge_counter_counts_goodness_tests():

@@ -1,5 +1,7 @@
 """Poset core: validation, order queries, enumeration, canonical form."""
 
+import random
+import time
 from itertools import combinations, islice, permutations
 
 import pytest
@@ -35,6 +37,22 @@ def test_long_cycle_witness():
     with pytest.raises(CycleError) as exc:
         Poset(n, [(i, (i + 1) % n) for i in range(n)])
     assert exc.value.witness == [str(i) for i in range(n)] + ["0"]
+
+
+def test_cycle_witness_is_a_closed_cover_path():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        ring = rng.sample(range(n), rng.randint(2, n))
+        covers = set(zip(ring, ring[1:] + ring[:1]))
+        for _ in range(rng.randint(0, 2 * n)):
+            c, a = rng.sample(range(n), 2)
+            covers.add((c, a))
+        with pytest.raises(CycleError) as exc:
+            Poset(n, covers)
+        w = [int(x) for x in exc.value.witness]
+        assert w[0] == w[-1] and len(set(w)) == len(w) - 1 >= 2
+        assert all(pair in covers for pair in zip(w, w[1:]))
 
 
 def test_transitive_edge_rejected():
@@ -119,6 +137,17 @@ def test_linear_extensions_of_a_long_chain():
     assert chain.linear_extension_count() == 1
 
 
+def test_walk_and_count_of_a_very_long_chain_are_fast():
+    # Each step looks only at the placed element's covers, so the one
+    # extension of a 10,000-element chain is listed and counted quickly.
+    n = 10_000
+    chain = Poset(n, [(i, i + 1) for i in range(n - 1)])
+    start = time.perf_counter()
+    assert chain.linear_extension_count() == 1
+    assert list(chain.linear_extensions()) == [tuple(range(n))]
+    assert time.perf_counter() - start < 5
+
+
 def test_linear_extension_count_of_an_antichain():
     # 12! extensions, counted by the down-set DP without listing them.
     assert Poset(12, []).linear_extension_count() == 479_001_600
@@ -138,7 +167,8 @@ def walk(p: Poset, refused) -> tuple[list[tuple[int, ...]], int]:
         return accepted[0]
 
     leaves, total = [], 0
-    for cut in superiors_first(up_strict, step):
+    lower = [p.lower_covers(x) for x in range(p.n)]
+    for cut in superiors_first(up_strict, lower, step):
         if accepted[0]:
             assert cut == 0
             leaves.append(tuple(reversed(placed)))
