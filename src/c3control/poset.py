@@ -303,20 +303,31 @@ def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> tuple[byt
         cells.setdefault(color[x], []).append(x)
     ordered_cells = [cells[c] for c in sorted(cells)]
 
+    # product() holds every permutation of each cell it is given, so the
+    # largest cell (positions start.. in the labeling) is left out of it
+    # and its permutations are generated one at a time inside the loop.
+    big = max(range(len(ordered_cells)), key=lambda c: len(ordered_cells[c]))
+    start = sum(map(len, ordered_cells[:big]))
+    big_cell = ordered_cells.pop(big)
     pos = [0] * n
     best: list[tuple[int, int]] | None = None
     ties = 0
     for perms in product(*map(permutations, ordered_cells)):
         i = 0
         for perm in perms:
+            if i == start:
+                i += len(big_cell)
             for x in perm:
                 pos[x] = i
                 i += 1
-        enc = sorted((pos[c], pos[a]) for c, a in covers)
-        if best is None or enc < best:
-            best, ties = enc, 1
-        elif enc == best:
-            ties += 1
+        for perm in permutations(big_cell):
+            for i, x in enumerate(perm, start):
+                pos[x] = i
+            enc = sorted((pos[c], pos[a]) for c, a in covers)
+            if best is None or enc < best:
+                best, ties = enc, 1
+            elif enc == best:
+                ties += 1
 
     out = bytearray([n])
     for c, a in best:

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from itertools import combinations, islice, permutations
 
 import pytest
@@ -269,6 +270,20 @@ def test_canonical_form_separates_classes():
     # that admit the identity extension (16 of A000112).
     keys = {p.canonical_form() for p in posets_of_size(4)}
     assert len(keys) == 16
+
+
+def test_canonical_form_memory_does_not_follow_the_permutation_count():
+    # An 8-antichain is one cell of 8! = 40,320 labelings; they are
+    # generated one at a time, not held (which would take about 4.4 MiB).
+    p = Poset(8, [])
+    tracemalloc.start()
+    try:
+        key = p.canonical_form()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert key == b"\x08"
+    assert peak < 2**20
 
 
 def test_poset_from_covers_names():
