@@ -306,9 +306,10 @@ def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> tuple[byt
     # product() holds every permutation of each cell it is given, so the
     # largest cell (positions start.. in the labeling) is left out of it
     # and its permutations are generated one at a time inside the loop.
-    big = max(range(len(ordered_cells)), key=lambda c: len(ordered_cells[c]))
+    big_cell = max(ordered_cells, key=len)
+    big = ordered_cells.index(big_cell)
     start = sum(map(len, ordered_cells[:big]))
-    big_cell = ordered_cells.pop(big)
+    del ordered_cells[big]
     pos = [0] * n
     best: list[tuple[int, int]] | None = None
     ties = 0
