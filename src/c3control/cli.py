@@ -165,8 +165,9 @@ def cmd_check(args) -> int:
     # diagnostic and never drives the exit status.
     rows = []
     all_ok = True
+    cache: dict = {}
     for c in range(p.n):
-        mro = c3_mro(p, assignment, c)
+        mro = c3_mro(p, assignment, c, cache)
         if isinstance(mro, MergeFailure):
             rows.append((p.names[c], "FAIL", "-", "-", "-"))
             all_ok = False
@@ -174,7 +175,7 @@ def cmd_check(args) -> int:
         loc_ok = check_local_consistency(p, assignment, mro)
         ext_ok = check_extended_consistency(p, assignment, mro)
         try:
-            mono_ok = check_monotone(p, assignment, c)
+            mono_ok = check_monotone(p, assignment, c, cache)
         except LinearizationFailedError:
             mono_ok = False
         rows.append((

@@ -12,7 +12,9 @@ Format (one key per line, comments start with '#'):
     global_order: E D C B A
 
 Cover direction is fixed as ``cover: SUB SUPER``, and each cover is
-declared once; a ``global_order`` lists every element once.  The order
+declared once; a ``global_order`` lists every element once.  ``name``,
+``elements`` and ``global_order`` appear at most once, and so does an
+element's ``precedence`` line.  The order
 in which an element's cover lines appear doubles as its default
 precedence list, the way a class statement's base list does; an explicit
 ``precedence:`` line overrides it (and may add extra strict superiors).
@@ -76,6 +78,7 @@ def parse_hierarchy(text: str, source: str = "<string>") -> HierarchyFile:
     seen_covers: set[tuple[str, str]] = set()
     precedence: dict[str, list[str]] = {}
     global_order: list[str] | None = None
+    seen_keys: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -86,6 +89,10 @@ def parse_hierarchy(text: str, source: str = "<string>") -> HierarchyFile:
             raise HierarchyParseError(f"{source}:{lineno}: missing ':' in {line!r}")
         key = key.strip()
         value = value.strip()
+        if key in ("name", "elements", "global_order"):
+            if key in seen_keys:
+                raise HierarchyParseError(f"{source}:{lineno}: repeated {key!r} line")
+            seen_keys.add(key)
         if key == "name":
             name = value
         elif key == "elements":
@@ -108,7 +115,12 @@ def parse_hierarchy(text: str, source: str = "<string>") -> HierarchyFile:
                 raise HierarchyParseError(
                     f"{source}:{lineno}: precedence needs 'OWNER = ...': {line!r}"
                 )
-            precedence[owner.strip()] = rest.split()
+            owner = owner.strip()
+            if owner in precedence:
+                raise HierarchyParseError(
+                    f"{source}:{lineno}: repeated precedence for {owner!r}"
+                )
+            precedence[owner] = rest.split()
         elif key == "global_order":
             global_order = value.split()
         else:

@@ -48,7 +48,9 @@ class StepCounter:
     tail holds the head: the cost of a merge that tests goodness by
     scanning, deterministic and machine independent.  ``merge_kernel``
     tests goodness through tail counts and derives this count only when a
-    counter is passed.
+    counter is passed.  ``c3_mro`` given a counter merges the MRO of every
+    listed element, as the textbook merge does, so the count covers the
+    inputs it would otherwise leave out.
     """
 
     comparisons: int = 0
@@ -248,6 +250,19 @@ def c3_mro(
     computation and must never be shared across assignments.  Raises
     ValueError when the precedence lists are cyclic or a list has
     duplicates.
+
+    The merge takes the listed MROs in list order and leaves out that of
+    a listed b when b occurs in the MRO of an earlier kept a; the list
+    itself is always kept.  C3 is monotonic: an MRO holds the MRO of each
+    of its elements as a subsequence, so MRO(b) is one of MRO(a)'s.  At
+    every step of the merge b's tail is then inside a's, so b blocks no
+    head that a does not, and a good head of b is a's head, which the
+    scan reaches first; the result is the same for any lists, valid or
+    not.  Membership is tested against the kept MROs, not the poset, as
+    lists are not checked to name every cover.  A failed merge that left
+    an input out is merged again with every input, so the failure's
+    ``remaining`` holds every stuck list.  With a ``counter`` every input
+    is merged, so the count is that of the textbook merge.
     """
     if cache is None:
         cache = {}
@@ -287,7 +302,19 @@ def c3_mro(
             _check_list(listed)
             inputs = [cache[b] for b in listed]
             inputs.append(listed)
-            merged = merge_kernel(inputs, 1 + max(map(max, inputs)), counter)
+            kept = inputs
+            if counter is None:
+                kept = []
+                seen: set[int] = set()
+                for mro in inputs[:-1]:
+                    if mro[0] not in seen:
+                        kept.append(mro)
+                        seen.update(mro)
+                kept.append(listed)
+            size = 1 + max(map(max, kept))
+            merged = merge_kernel(kept, size, counter)
+            if isinstance(merged, MergeFailure) and len(kept) < len(inputs):
+                merged = merge_kernel(inputs, size)
             if isinstance(merged, MergeFailure):
                 value = MergeFailure(merged.processed, merged.remaining, at=x)
             else:
@@ -381,15 +408,20 @@ def consistent_mro_oracle(p: Poset, assignment: Assignment, c: int):
     return found
 
 
-def check_monotone(p: Poset, assignment: Assignment, c: int) -> bool:
+def check_monotone(
+    p: Poset, assignment: Assignment, c: int, cache: dict | None = None
+) -> bool:
     """True iff for every superior a of c, MRO(a) is the restriction of
     MRO(c) to the up-set of a.
 
     Raises LinearizationFailedError if C3 fails on c or any superior.
+    ``cache`` is passed to ``c3_mro`` and, as there, must belong to this
+    (poset, assignment) pair.
     """
     from .errors import LinearizationFailedError
 
-    cache: dict = {}
+    if cache is None:
+        cache = {}
     mro_c = c3_mro(p, assignment, c, cache)
     if isinstance(mro_c, MergeFailure):
         raise LinearizationFailedError(mro_c)

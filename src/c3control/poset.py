@@ -106,7 +106,12 @@ class Poset:
     def up_set(self, c: int) -> frozenset[int]:
         """All ``x >= c``, including ``c`` itself."""
         m = self._up_mask[c]
-        return frozenset(x for x in range(self.n) if m >> x & 1)
+        out = []
+        while m:
+            bit = m & -m
+            m ^= bit
+            out.append(bit.bit_length() - 1)
+        return frozenset(out)
 
     def up_mask(self, c: int) -> int:
         """Reflexive up-set of ``c`` as a bitmask."""

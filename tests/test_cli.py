@@ -181,6 +181,12 @@ MALFORMED = {
     "global_order_wrong_length": "elements: A B C\ncover: C B\ncover: B A\nglobal_order: C B\n",
     "cover_cycle": "elements: A B\ncover: A B\ncover: B A\n",
     "transitively_implied_cover": "elements: A B C\ncover: C B\ncover: B A\ncover: C A\n",
+    "repeated_name": "name: X\nname: Y\nelements: A B\ncover: B A\n",
+    "repeated_elements": "elements: A B C\nelements: A B\ncover: B A\n",
+    "repeated_global_order": "elements: A B\ncover: B A\nglobal_order: B A\nglobal_order: B A\n",
+    "repeated_precedence": (
+        "elements: A B C\ncover: C A\ncover: C B\nprecedence: C = A B\nprecedence: C = B A\n"
+    ),
 }
 
 

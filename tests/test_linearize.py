@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from c3control import linearize
 from c3control import (
     AmbiguityError,
     LinearizationFailedError,
@@ -22,6 +23,7 @@ from c3control import (
     NotAPermutationError,
     Poset,
     StepCounter,
+    brute_force_assignment,
     c3_merge,
     c3_mro,
     check_extended_consistency,
@@ -34,7 +36,13 @@ from c3control import (
 )
 from c3control.linearize import merge_kernel
 
-from conftest import posets_of_size, posets_with_extension, python_mros, reference_merge
+from conftest import (
+    posets_of_size,
+    posets_with_extension,
+    python_mros,
+    random_family,
+    reference_merge,
+)
 
 
 def deviates() -> Poset:
@@ -253,6 +261,64 @@ def test_cache_not_recomputed():
     assert cache[p.id_of("E1")] is first
 
 
+def test_failure_after_pruning_reports_every_input():
+    # E lists C, A, D: A is in MRO(C), so the merge leaves A's MRO out,
+    # fails, and merges again with every input to report the stuck state.
+    p = clash()
+    lists = {0: (), 1: (), 2: (0, 1), 3: (1, 0), 4: (2, 0, 3)}
+    assert c3_mro(p, lists, 4) == MergeFailure(
+        processed=(2,), remaining=((0, 1), (0,), (3, 1, 0), (0, 3)), at=4
+    )
+
+
+def _grown_relaxed_lists(seed: int):
+    """A grown family and shuffled lists of covers plus random strict
+    superiors; about one list in ten misses a cover."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 24)
+    p = Poset(n, random_family(rng, n))
+    assignment = {}
+    for c in range(p.n):
+        covers = list(p.upper_covers(c))
+        others = sorted(p.up_set(c) - {c, *covers})
+        listed = covers + [x for x in others if rng.random() < 0.4]
+        if covers and rng.random() < 0.1:
+            listed.remove(rng.choice(covers))
+        rng.shuffle(listed)
+        assignment[c] = tuple(listed)
+    return p, assignment
+
+
+def test_pruned_mro_equals_the_merge_of_every_listed_mro():
+    # A StepCounter makes c3_mro merge every listed MRO; without one it
+    # leaves out the MROs already inside an earlier kept one.
+    failures = 0
+    for seed in range(200):
+        p, assignment = _grown_relaxed_lists(seed)
+        for c in range(p.n):
+            pruned = c3_mro(p, assignment, c)
+            assert pruned == c3_mro(p, assignment, c, counter=StepCounter()), (seed, c)
+            failures += isinstance(pruned, MergeFailure)
+        _assert_matches_python(p, assignment)
+    assert failures
+
+
+def test_brute_force_chain_merges_two_lists_per_element(monkeypatch):
+    # Each element lists its whole strict up-set, and MRO(c + 1) already
+    # holds every other listed element.
+    n = 64
+    p = Poset(n, [(i, i + 1) for i in range(n - 1)])
+    sizes = []
+
+    def recording_kernel(seqs, size, counter=None, want=None):
+        sizes.append(len(seqs))
+        return merge_kernel(seqs, size, counter, want)
+
+    monkeypatch.setattr(linearize, "merge_kernel", recording_kernel)
+    assert c3_mro(p, brute_force_assignment(p, range(n)), 0) == tuple(range(n))
+    assert len(sizes) == n - 1 and max(sizes) == 2
+
+
 # -- validation ---------------------------------------------------------
 
 
@@ -329,7 +395,9 @@ def test_oracle_size_limit():
 def test_monotone_on_success():
     p = deviates()
     assert check_monotone(p, DEVIATES_LISTS, 4)
-    assert check_monotone(p, FIXED_LISTS, 4)
+    cache: dict = {}
+    assert check_monotone(p, FIXED_LISTS, 4, cache)
+    assert set(cache) == p.up_set(4)
 
 
 def test_monotone_raises_on_failure():
