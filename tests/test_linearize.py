@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from c3control import linearize
 from c3control import (
     AmbiguityError,
     LinearizationFailedError,
@@ -314,7 +313,7 @@ def test_brute_force_chain_merges_two_lists_per_element(monkeypatch):
         sizes.append(len(seqs))
         return merge_kernel(seqs, size, counter, want)
 
-    monkeypatch.setattr(linearize, "merge_kernel", recording_kernel)
+    monkeypatch.setattr("c3control.linearize.merge_kernel", recording_kernel)
     assert c3_mro(p, brute_force_assignment(p, range(n)), 0) == tuple(range(n))
     assert len(sizes) == n - 1 and max(sizes) == 2
 
