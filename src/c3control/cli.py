@@ -2,7 +2,9 @@
 
 Subcommands: compute, instrument, check, search, demo-h.  Exit codes are
 a stable contract: 0 success, 1 domain failure (failed MRO, inconsistent
-checks, wrong demo numbers), 2 input/parse error.
+checks, wrong demo numbers), 2 input/parse error.  A command returns its
+exit code or raises a typed error; only ``main`` turns an error into an
+``error:`` line on stderr and its exit code.
 """
 
 from __future__ import annotations
@@ -14,13 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import control, search
-from .errors import (
-    C3ControlError,
-    InputError,
-    LinearizationFailedError,
-    NotLinearExtensionError,
-    ResourceLimitError,
-)
+from .errors import C3ControlError, InputError
 from .hierarchy import (
     HierarchyFile,
     HierarchyParseError,
@@ -33,7 +29,6 @@ from .linearize import (
     c3_mro,
     check_extended_consistency,
     check_local_consistency,
-    check_monotone,
     validate_assignment,
 )
 from .poset import poset_h
@@ -90,8 +85,7 @@ def cmd_compute(args) -> int:
     try:
         element = p.id_of(args.element)
     except KeyError:
-        print(f"error: unknown element {args.element!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError(f"unknown element {args.element!r}") from None
     assignment = h.assignment_for(p)
     validate_assignment(p, assignment)
     result = c3_mro(p, assignment, element)
@@ -116,13 +110,8 @@ def cmd_instrument(args) -> int:
     p = h.to_poset()
     order = h.global_order_ids(p)
     if order is None:
-        print("error: file has no global_order line", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        result = control.c3_instrumented(p, order)
-    except NotLinearExtensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        raise InputError("file has no global_order line")
+    result = control.c3_instrumented(p, order)
     if args.format == "machine":
         print(json.dumps({
             "assignment": {p.names[c]: [p.names[x] for x in seq]
@@ -159,33 +148,40 @@ def cmd_check(args) -> int:
         _write(args.dot, to_dot(h))
     assignment = h.assignment_for(p)
     validate_assignment(p, assignment)
+    cache: dict = {}
+    mros = [c3_mro(p, assignment, c, cache) for c in range(p.n)]
+    # The monotone column, filled superiors first: MRO(c) restricts to
+    # every superior's MRO iff it restricts to each upper cover b's and
+    # b's column is ok, as restricting to up(b) and then to up(a) <= up(b)
+    # is restricting to up(a).  Every list names its element's covers, so
+    # a failed MRO also fails every element below it.
+    monotone = [False] * p.n
+    for c in reversed(next(p.linear_extensions())):
+        monotone[c] = not isinstance(mros[c], MergeFailure) and all(
+            monotone[b] and tuple(x for x in mros[c] if p.up_mask(b) >> x & 1) == mros[b]
+            for b in p.upper_covers(c)
+        )
     # The extended-precedence condition is strictly stronger than what a
     # successful C3 run guarantees (relaxed lists trade it away on
     # purpose, and even covers-only lists can deviate), so that column is
     # diagnostic and never drives the exit status.
     rows = []
     all_ok = True
-    cache: dict = {}
-    for c in range(p.n):
-        mro = c3_mro(p, assignment, c, cache)
+    for c, mro in enumerate(mros):
         if isinstance(mro, MergeFailure):
             rows.append((p.names[c], "FAIL", "-", "-", "-"))
             all_ok = False
             continue
         loc_ok = check_local_consistency(p, assignment, mro)
         ext_ok = check_extended_consistency(p, assignment, mro)
-        try:
-            mono_ok = check_monotone(p, assignment, c, cache)
-        except LinearizationFailedError:
-            mono_ok = False
         rows.append((
             p.names[c],
             "ok",
             "ok" if loc_ok else "FAIL",
             "ok" if ext_ok else "deviates",
-            "ok" if mono_ok else "FAIL",
+            "ok" if monotone[c] else "FAIL",
         ))
-        all_ok = all_ok and loc_ok and mono_ok
+        all_ok = all_ok and loc_ok and monotone[c]
     if args.format == "machine":
         print(json.dumps([
             {"element": r[0], "mro": r[1], "local": r[2], "extended": r[3], "monotone": r[4]}
@@ -219,18 +215,12 @@ def _summary_as_json(summary: search.SearchSummary) -> str:
 def cmd_search(args) -> int:
     for what, value, least in (("depth", args.n, 0), ("--jobs", args.jobs, 1)):
         if value < least:
-            print(f"error: search {what} must be at least {least}, got {value}",
-                  file=sys.stderr)
-            return EXIT_INPUT
-    try:
-        summary = search.map_reduce_search(
-            args.n,
-            workers=args.jobs,
-            allow_large=args.allow_large,
-        )
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+            raise InputError(f"search {what} must be at least {least}, got {value}")
+    summary = search.map_reduce_search(
+        args.n,
+        workers=args.jobs,
+        allow_large=args.allow_large,
+    )
     if args.format == "machine":
         print(_summary_as_json(summary))
     else:
@@ -304,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="exhaustive C3 experiment over small posets")
     sp.add_argument("n", type=int)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes for the experiments, at most one per class")
     sp.add_argument("--allow-large", action="store_true",
                     help="permit long-running depths (n >= 8)")
     add_format(sp)
@@ -321,12 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except C3ControlError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return EXIT_INPUT if isinstance(exc, InputError) else EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -338,14 +338,16 @@ def _order_positions(p: Poset, order: Sequence[int]) -> dict[int, int]:
 
 
 def check_local_consistency(p: Poset, assignment: Assignment, order: Sequence[int]) -> bool:
-    """Whenever B is listed before A at some element, B precedes A."""
+    """Whenever B is listed before A at some element, B precedes A.
+
+    Positions are ordered transitively, so neighbouring list entries are
+    the only pairs compared."""
     pos = _order_positions(p, order)
     for c in order:
         seq = assignment[c]
-        for i, b in enumerate(seq):
-            for a in seq[i + 1:]:
-                if pos[b] > pos[a]:
-                    return False
+        for b, a in zip(seq, seq[1:]):
+            if pos[b] > pos[a]:
+                return False
     return True
 
 

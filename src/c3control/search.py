@@ -238,7 +238,9 @@ def _experiments(
     keys: list[bytes], workers: int, screen: bool = False
 ) -> list[tuple[int, int] | None]:
     """``_experiment`` for every key, in order.  It runs in this process,
-    or in a pool of ``workers`` processes that takes the keys in chunks."""
+    or in a pool of ``workers`` processes, at most one per key, that takes
+    the keys in chunks."""
+    workers = min(workers, len(keys))
     if workers <= 1:
         return [_experiment(key, screen) for key in keys]
     chunk = max(1, len(keys) // (workers * 8))
@@ -257,12 +259,12 @@ def map_reduce_search(
     that labeled count times the experiment's result.
 
     The classes are generated in this process; with several ``workers``
-    a pool runs the experiments over chunks of them.  The result is
-    independent of ``workers``.  Depths 8 and above are rejected unless
-    ``allow_large`` is set: n = 8 takes about 50 s on one CPU of a 2-core
-    x86-64 machine, most of it in the experiments, and at n = 9
-    ``find_infeasible``, which screens instead of counting, answers in
-    about a minute and a half.
+    a pool of at most one process per class runs the experiments over
+    chunks of them.  The result is independent of ``workers``.  Depths 8
+    and above are rejected unless ``allow_large`` is set: n = 8 takes
+    about 50 s on one CPU of a 2-core x86-64 machine, most of it in the
+    experiments, and at n = 9 ``find_infeasible``, which screens instead
+    of counting, answers in about a minute.
     """
     classes = iso_classes(n, allow_large)
     results = _experiments([key for key, _ in classes], workers)

@@ -10,7 +10,9 @@ other lists' tails, the oracle for ``merge_kernel``.  ``natural_poset``,
 ``random_posets`` and the ``hypothesis`` strategy
 ``posets_with_extension`` draw random posets for the differential and
 property tests; ``random_family`` grows a large hierarchy class by
-class, and ``random_extension`` draws a seeded linear extension of it.  ``recursive_linear_extensions``, the recursive
+class, ``grown_relaxed_lists`` grows one with shuffled relaxed
+precedence lists, and ``random_extension`` draws a seeded linear
+extension of it.  ``recursive_linear_extensions``, the recursive
 generator that ``Poset.linear_extensions`` replaced, is its oracle.
 """
 
@@ -115,6 +117,24 @@ def random_family(rng: random.Random, size: int) -> list[tuple[int, int]]:
             m |= up[b]
         up.append(m)
     return covers
+
+
+def grown_relaxed_lists(seed: int, drop: float = 0.1):
+    """A grown family and shuffled lists of covers plus random strict
+    superiors; a list misses a cover with probability ``drop``."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 24)
+    p = Poset(n, random_family(rng, n))
+    assignment = {}
+    for c in range(p.n):
+        covers = list(p.upper_covers(c))
+        others = sorted(p.up_set(c) - {c, *covers})
+        listed = covers + [x for x in others if rng.random() < 0.4]
+        if covers and rng.random() < drop:
+            listed.remove(rng.choice(covers))
+        rng.shuffle(listed)
+        assignment[c] = tuple(listed)
+    return p, assignment
 
 
 def random_extension(p: Poset, rng: random.Random) -> tuple[int, ...]:

@@ -3,10 +3,22 @@
 from __future__ import annotations
 
 import json
+import random
+from types import SimpleNamespace
 
 import pytest
 
-from c3control import c3_mro
+from c3control import (
+    LinearizationFailedError,
+    MergeFailure,
+    Poset,
+    c3_mro,
+    check_extended_consistency,
+    check_local_consistency,
+    check_monotone,
+    induced_assignment,
+)
+from c3control import search
 from c3control.cli import (
     EXIT_DOMAIN,
     EXIT_INPUT,
@@ -14,7 +26,9 @@ from c3control.cli import (
     fixture_path,
     main,
 )
-from c3control.hierarchy import parse_hierarchy
+from c3control.hierarchy import HierarchyFile, parse_hierarchy, serialize_hierarchy
+
+from conftest import grown_relaxed_lists, random_extension
 
 
 def fx(name: str) -> str:
@@ -55,9 +69,10 @@ def test_compute_failure_machine(capsys):
 
 
 def test_compute_unknown_element(capsys):
-    code, _, err = run(capsys, "compute", fx("c3deviates"), "Q")
+    code, out, err = run(capsys, "compute", fx("c3deviates"), "Q")
     assert code == EXIT_INPUT
-    assert "unknown element" in err
+    assert out == ""
+    assert err == "error: unknown element 'Q'\n"
 
 
 def test_missing_file(capsys):
@@ -82,9 +97,19 @@ def test_instrument_machine(capsys):
 
 
 def test_instrument_requires_global_order(capsys):
-    code, _, err = run(capsys, "instrument", fx("clash"))
+    code, out, err = run(capsys, "instrument", fx("clash"))
     assert code == EXIT_INPUT
-    assert "global_order" in err
+    assert out == ""
+    assert err == "error: file has no global_order line\n"
+
+
+def test_instrument_rejects_an_order_that_is_no_linear_extension(tmp_path, capsys):
+    path = tmp_path / "upside_down.hier"
+    path.write_text("elements: A B\ncover: B A\nglobal_order: A B\n")
+    code, out, err = run(capsys, "instrument", str(path))
+    assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err == "error: ['A', 'B'] is not a linear extension\n"
 
 
 def test_instrument_write_back(tmp_path, capsys):
@@ -114,6 +139,103 @@ def test_check_clash_fails(capsys):
     code, out, _ = run(capsys, "check", fx("clash"))
     assert code == EXIT_DOMAIN
     assert "FAIL" in out
+
+
+def _write_hierarchy(path, p: Poset, assignment) -> str:
+    path.write_text(serialize_hierarchy(HierarchyFile(
+        name="grown",
+        elements=list(p.names),
+        covers=[(p.names[c], p.names[a]) for c, a in sorted(p.covers)],
+        precedence={p.names[c]: [p.names[x] for x in seq]
+                    for c, seq in assignment.items() if seq},
+    )))
+    return str(path)
+
+
+def _grown_hierarchies(seed: int):
+    """A grown family with relaxed valid lists and with the covers-only
+    lists a random linear extension induces."""
+    p, relaxed = grown_relaxed_lists(seed, drop=0)
+    induced = induced_assignment(p, random_extension(p, random.Random(seed)))
+    return p, [relaxed, induced]
+
+
+def _reference_check(p: Poset, assignment) -> tuple[list[dict], int]:
+    """``check --format machine``'s rows and exit code, row by row from
+    the public checkers."""
+    rows = []
+    all_ok = True
+    for c in range(p.n):
+        mro = c3_mro(p, assignment, c)
+        if isinstance(mro, MergeFailure):
+            rows.append({"element": p.names[c], "mro": "FAIL",
+                         "local": "-", "extended": "-", "monotone": "-"})
+            all_ok = False
+            continue
+        local = check_local_consistency(p, assignment, mro)
+        try:
+            monotone = check_monotone(p, assignment, c)
+        except LinearizationFailedError:
+            monotone = False
+        rows.append({
+            "element": p.names[c],
+            "mro": "ok",
+            "local": "ok" if local else "FAIL",
+            "extended": "ok" if check_extended_consistency(p, assignment, mro) else "deviates",
+            "monotone": "ok" if monotone else "FAIL",
+        })
+        all_ok = all_ok and local and monotone
+    return rows, EXIT_OK if all_ok else EXIT_DOMAIN
+
+
+def test_check_machine_equals_the_row_by_row_reference(tmp_path, capsys):
+    codes = set()
+    for seed in range(40):
+        p, assignments = _grown_hierarchies(seed)
+        for kind, assignment in enumerate(assignments):
+            path = _write_hierarchy(tmp_path / f"{seed}_{kind}.hier", p, assignment)
+            code, out, err = run(capsys, "check", path, "--format", "machine")
+            rows, expected_code = _reference_check(p, assignment)
+            assert (json.loads(out), code, err) == (rows, expected_code, ""), (seed, kind)
+            codes.add(code)
+    assert codes == {EXIT_OK, EXIT_DOMAIN}
+
+
+def test_check_monotone_column_catches_a_corrupted_mro(tmp_path, capsys, monkeypatch):
+    # Once every MRO is in the cache the command shares, the one of the
+    # element with the most inferiors gets its two superiors after the
+    # element swapped; the column must still equal check_monotone over
+    # that cache.
+    failed_rows = 0
+    for seed in range(40):
+        p, (assignment, _) = _grown_hierarchies(seed)
+        mros = [c3_mro(p, assignment, c) for c in range(p.n)]
+        candidates = [c for c, mro in enumerate(mros) if len(mro or ()) >= 3]
+        if not candidates:
+            continue
+        victim = max(candidates, key=lambda v: sum(p.leq(c, v) for c in range(p.n)))
+        caches = []
+
+        def corrupted_mro(p, assignment, c, cache):
+            if not caches:
+                for x in range(p.n):
+                    c3_mro(p, assignment, x, cache)
+                mro = cache[victim]
+                cache[victim] = (mro[0], mro[2], mro[1], *mro[3:])
+            caches.append(cache)
+            return cache[c]
+
+        monkeypatch.setattr("c3control.cli.c3_mro", corrupted_mro)
+        path = _write_hierarchy(tmp_path / f"{seed}.hier", p, assignment)
+        _, out, _ = run(capsys, "check", path, "--format", "machine")
+        cache = caches[0]
+        assert all(c is cache for c in caches)
+        for c, row in enumerate(json.loads(out)):
+            if row["mro"] == "ok":
+                expected = "ok" if check_monotone(p, assignment, c, cache) else "FAIL"
+                assert row["monotone"] == expected, (seed, c)
+                failed_rows += expected == "FAIL"
+    assert failed_rows
 
 
 def test_check_dot_export(tmp_path, capsys):
@@ -151,9 +273,38 @@ def test_search_machine(capsys):
 
 
 def test_search_depth_gate(capsys):
-    code, _, err = run(capsys, "search", "8")
+    code, out, err = run(capsys, "search", "8")
     assert code == EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "allow_large" in err
+
+
+def test_search_starts_at_most_one_process_per_class(monkeypatch, capsys):
+    # A stand-in pool records its size and maps in this process, so no
+    # process starts; n = 3 has 5 classes.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(search.multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=InProcessPool))
+    single = run(capsys, "search", "3", "--format", "machine")
+    assert run(capsys, "search", "3", "--jobs", "10000", "--format", "machine") == single
+    assert sizes == [5]
+    assert run(capsys, "search", "1", "--jobs", "4") == run(capsys, "search", "1")
+    assert sizes == [5]
 
 
 def test_search_negative_depth_is_input_error(capsys):

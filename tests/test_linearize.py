@@ -36,10 +36,10 @@ from c3control import (
 from c3control.linearize import merge_kernel
 
 from conftest import (
+    grown_relaxed_lists,
     posets_of_size,
     posets_with_extension,
     python_mros,
-    random_family,
     reference_merge,
 )
 
@@ -270,30 +270,12 @@ def test_failure_after_pruning_reports_every_input():
     )
 
 
-def _grown_relaxed_lists(seed: int):
-    """A grown family and shuffled lists of covers plus random strict
-    superiors; about one list in ten misses a cover."""
-    rng = random.Random(seed)
-    n = rng.randint(2, 24)
-    p = Poset(n, random_family(rng, n))
-    assignment = {}
-    for c in range(p.n):
-        covers = list(p.upper_covers(c))
-        others = sorted(p.up_set(c) - {c, *covers})
-        listed = covers + [x for x in others if rng.random() < 0.4]
-        if covers and rng.random() < 0.1:
-            listed.remove(rng.choice(covers))
-        rng.shuffle(listed)
-        assignment[c] = tuple(listed)
-    return p, assignment
-
-
 def test_pruned_mro_equals_the_merge_of_every_listed_mro():
     # A StepCounter makes c3_mro merge every listed MRO; without one it
     # leaves out the MROs already inside an earlier kept one.
     failures = 0
     for seed in range(200):
-        p, assignment = _grown_relaxed_lists(seed)
+        p, assignment = grown_relaxed_lists(seed)
         for c in range(p.n):
             pruned = c3_mro(p, assignment, c)
             assert pruned == c3_mro(p, assignment, c, counter=StepCounter()), (seed, c)
@@ -362,6 +344,40 @@ def test_checkers_reject_non_permutations():
         check_local_consistency(p, DEVIATES_LISTS, (4, 3, 1, 0))
     with pytest.raises(NotAPermutationError):
         check_extended_consistency(p, DEVIATES_LISTS, (4, 3, 1, 0, 0))
+
+
+def _local_by_all_pairs(assignment, order) -> bool:
+    """The local condition over every pair of list entries."""
+    pos = {x: i for i, x in enumerate(order)}
+    return all(
+        pos[b] < pos[a]
+        for c in order
+        for i, b in enumerate(assignment[c])
+        for a in assignment[c][i + 1:]
+    )
+
+
+def test_local_consistency_equals_the_all_pairs_condition():
+    # Orders are c's successful MRO and random permutations of up(c)
+    # headed by c, which mostly violate some list.
+    rng = random.Random(21)
+    verdicts = []
+    for seed in range(100):
+        p, assignment = grown_relaxed_lists(seed, drop=0)
+        validate_assignment(p, assignment)
+        for c in range(p.n):
+            orders = [c3_mro(p, assignment, c)]
+            for _ in range(3):
+                rest = sorted(p.up_set(c) - {c})
+                rng.shuffle(rest)
+                orders.append((c, *rest))
+            for order in orders:
+                if isinstance(order, MergeFailure):
+                    continue
+                verdict = check_local_consistency(p, assignment, order)
+                assert verdict == _local_by_all_pairs(assignment, order), (seed, c, order)
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_relaxed_lists_trade_extended_consistency():
