@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .errors import InputError, LinearizationFailedError, NotLinearExtensionError
 from .linearize import MergeFailure, StepCounter, c3_mro, merge_kernel
-from .poset import Poset, superiors_first
+from .poset import Poset, superiors_first, twin_walk
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def _strict_up_sets(p: Poset, g: Sequence[int], pos: Mapping[int, int]) -> list[
     return ups
 
 
-def _replay(covers, target, mros, size: int, key) -> tuple[list[int], list[int]]:
+def _replay(covers, target, mros, key) -> tuple[list[int], list[int]]:
     """Minimal precedence list of an element whose strict up-set, sorted
     by the global order, is ``target``, given the final ``mros`` of its
     superiors; ``key`` sorts by the global order.  Returns the list, grown
@@ -70,7 +70,8 @@ def _replay(covers, target, mros, size: int, key) -> tuple[list[int], list[int]]
     clist = sorted(covers, key=key)
     if not clist:
         return clist, []
-    inserted = merge_kernel([*(mros[b] for b in clist), clist], size, want=target)
+    # Every merged id is a strict superior, so it lies in the target.
+    inserted = merge_kernel([*(mros[b] for b in clist), clist], 1 + max(target), want=target)
     return clist, inserted
 
 
@@ -93,7 +94,7 @@ def c3_instrumented(p: Poset, g: Sequence[int]) -> InstrumentationResult:
 
     for c in reversed(g):
         target = ups[c]
-        clist, inserted = _replay(p.upper_covers(c), target, mros, p.n, pos.__getitem__)
+        clist, inserted = _replay(p.upper_covers(c), target, mros, pos.__getitem__)
         mros[c] = (c, *target)
         assignment[c] = tuple(clist)
         if inserted:
@@ -131,6 +132,14 @@ def count_additions_per_extension(p: Poset) -> dict[int, int]:
     ``(x, *target)`` restricted to the superior's up-set; so the count is
     memoised on that MRO, that is on (element, target), for the duration
     of the call.
+
+    The walk runs on the ``poset.twin_walk`` order, which places each
+    class of twins (elements with the same upper and lower covers) least
+    id first, and each extension reached is tallied ``weight`` times, the
+    product of the classes' factorials: an automorphism that swaps twins
+    maps an extension's instrumentation onto its image's, insertion
+    counts included.  ``_replay`` still grows the lists from the real
+    covers.
     """
     n = p.n
     upper = p._upper
@@ -148,14 +157,15 @@ def count_additions_per_extension(p: Poset) -> dict[int, int]:
         mro = (x, *sorted(ups[x], key=depth_of, reverse=True))
         added = memo.get(mro)
         if added is None:
-            added = memo[mro] = len(_replay(upper[x], mro[1:], mros, n, key)[1])
+            added = memo[mro] = len(_replay(upper[x], mro[1:], mros, key)[1])
         mros[x] = mro
         placed_at[x] = depth
         totals[depth + 1] = totals[depth] + added
         return True
 
-    for _ in superiors_first(up_strict, p._lower, place):
-        histogram[totals[n]] = histogram.get(totals[n], 0) + 1
+    walk_up, walk_lower, weight = twin_walk(up_strict, upper, p._lower)
+    for _ in superiors_first(walk_up, walk_lower, place):
+        histogram[totals[n]] = histogram.get(totals[n], 0) + weight
     return dict(sorted(histogram.items()))
 
 

@@ -328,13 +328,19 @@ def c3_mro(
 
 
 def _order_positions(p: Poset, order: Sequence[int]) -> dict[int, int]:
-    if len(set(order)) != len(order):
+    """Each entry's position, once ``order`` is checked to be a
+    permutation of the up-set of its head: distinct entries, as many as
+    the up-mask's set bits, each one of them.  A head of ``p.n`` or more
+    raises IndexError."""
+    pos = {x: i for i, x in enumerate(order)}
+    if len(pos) != len(order):
         raise NotAPermutationError(f"order {order!r} contains duplicates")
-    if not order or set(order) != p.up_set(order[0]):
+    up = p.up_mask(order[0]) if order and order[0] >= 0 else 0
+    if not up or len(order) != up.bit_count() or not all(x >= 0 and up >> x & 1 for x in order):
         raise NotAPermutationError(
             f"order {order!r} is not a permutation of the up-set of its head"
         )
-    return {x: i for i, x in enumerate(order)}
+    return pos
 
 
 def check_local_consistency(p: Poset, assignment: Assignment, order: Sequence[int]) -> bool:

@@ -9,7 +9,8 @@ the oracle the search's class-by-class generation is checked against.
 other lists' tails, the oracle for ``merge_kernel``.  ``natural_poset``,
 ``random_posets`` and the ``hypothesis`` strategy
 ``posets_with_extension`` draw random posets for the differential and
-property tests; ``random_family`` grows a large hierarchy class by
+property tests, and ``add_twins`` and ``twin_posets`` give posets with
+twins, elements with the same upper and lower covers; ``random_family`` grows a large hierarchy class by
 class, ``grown_relaxed_lists`` grows one with shuffled relaxed
 precedence lists, and ``random_extension`` draws a seeded linear
 extension of it.  ``recursive_linear_extensions``, the recursive
@@ -93,6 +94,38 @@ def random_posets(seed: int, count: int, sizes: range, max_extensions: int) -> l
         if sum(1 for _ in islice(p.linear_extensions(), max_extensions + 1)) <= max_extensions:
             out.append(p)
     return out
+
+
+def add_twins(p: Poset, rng: random.Random, count: int) -> Poset:
+    """``p`` with ``count`` new elements, each a twin (the same upper and
+    lower covers) of a random element, old or new, randomly relabeled."""
+    covers = set(p.covers)
+    n = p.n
+    for _ in range(count):
+        x = rng.randrange(n)
+        covers |= {(n, a) for c, a in covers if c == x} | {(c, n) for c, a in covers if a == x}
+        n += 1
+    return Poset(n, covers).relabel(rng.sample(range(n), n))
+
+
+def twin_posets() -> list[Poset]:
+    """Posets with twins: antichains of 1 to 7 elements, twin minimal
+    elements below a chain and below an antichain, H with and without
+    its bottom F, each with a twin of D1 added, and seeded random posets
+    with 1 to 3 forced twins and at most 2,000 linear extensions."""
+    h = poset_h()
+    d1 = h.id_of("D1")
+    twin_d1 = [(h.n, a) for a in h.upper_covers(d1)] + [(c, h.n) for c in h.lower_covers(d1)]
+    h_twin = Poset(h.n + 1, [*h.covers, *twin_d1], (*h.names, "D1'"))
+    posets = [Poset(k, []) for k in range(1, 8)]
+    posets += [Poset(4, [(0, 2), (1, 2), (2, 3)]), Poset(5, [(0, 2), (0, 3), (1, 2), (1, 3), (4, 3)])]
+    posets += [h_twin, h_twin.restrict(i for i in range(h_twin.n) if h_twin.names[i] != "F")]
+    rng = random.Random(29)
+    for p in random_posets(seed=31, count=16, sizes=range(3, 8), max_extensions=200):
+        q = add_twins(p, rng, rng.randint(1, 3))
+        if sum(1 for _ in islice(q.linear_extensions(), 2001)) <= 2000:
+            posets.append(q)
+    return posets
 
 
 def random_family(rng: random.Random, size: int) -> list[tuple[int, int]]:

@@ -31,6 +31,7 @@ from conftest import (
     random_family,
     random_posets,
     reference_merge,
+    twin_posets,
 )
 
 
@@ -197,11 +198,14 @@ def tally_additions(p: Poset) -> dict[int, int]:
 
 def test_additions_histogram_small():
     # The superiors-first walk with its (element, target) memo must agree
-    # with an independent per-extension tally of c3_instrumented.
+    # with an independent per-extension tally of c3_instrumented.  The
+    # walk reaches one extension per orbit of twin swaps and tallies it
+    # once per member, so the cases include posets with twins.
     h = poset_h()
     cases = [p for k in range(7) for p in posets_of_size(k)]
     cases += [h, h.relabel(random.Random(5).sample(range(h.n), h.n))]
     cases += random_posets(seed=11, count=20, sizes=range(8, 12), max_extensions=1500)
+    cases += twin_posets()
     for p in cases:
         histogram = count_additions_per_extension(p)
         assert histogram == tally_additions(p), p

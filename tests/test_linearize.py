@@ -346,6 +346,26 @@ def test_checkers_reject_non_permutations():
         check_extended_consistency(p, DEVIATES_LISTS, (4, 3, 1, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "order", [(), (-1,), (-5, 3), (3, 1, -1), (3, 1, 7), (3, 1, 2), (3, 1), (3, 1, 0, 2)]
+)
+def test_checkers_reject_orders_off_the_head_up_set(order):
+    # Up(D) = {D, B, A}: an empty order, a negative or out-of-range id, a
+    # non-superior of the head, or too few or too many entries is refused.
+    p = deviates()
+    for check in (check_local_consistency, check_extended_consistency):
+        with pytest.raises(NotAPermutationError):
+            check(p, DEVIATES_LISTS, order)
+    assert check_local_consistency(p, DEVIATES_LISTS, (3, 1, 0))
+    assert check_local_consistency(p, DEVIATES_LISTS, (2,))
+
+
+def test_checkers_index_the_head():
+    # A head past the last id has no up-set to compare with.
+    with pytest.raises(IndexError):
+        check_local_consistency(deviates(), DEVIATES_LISTS, (7, 3))
+
+
 def _local_by_all_pairs(assignment, order) -> bool:
     """The local condition over every pair of list entries."""
     pos = {x: i for i, x in enumerate(order)}

@@ -1,5 +1,6 @@
 """Poset core: validation, order queries, enumeration, canonical form."""
 
+import math
 import random
 import time
 import tracemalloc
@@ -17,9 +18,15 @@ from c3control import (
     Poset,
     poset_h,
 )
-from c3control.poset import superiors_first
+from c3control.poset import _count_extensions, superiors_first, twin_walk
 
-from conftest import posets_of_size, posets_with_extension, recursive_linear_extensions
+from conftest import (
+    natural_poset,
+    posets_of_size,
+    posets_with_extension,
+    recursive_linear_extensions,
+    twin_posets,
+)
 
 
 def diamond() -> Poset:
@@ -154,11 +161,79 @@ def test_linear_extension_count_of_an_antichain():
     assert Poset(12, []).linear_extension_count() == 479_001_600
 
 
-def walk(p: Poset, refused) -> tuple[list[tuple[int, ...]], int]:
-    """The extensions that ``superiors_first`` reaches on ``p``, most
-    derived first, and its leaves plus cut-off counts, with a step that
-    refuses the (element, depth) pairs in ``refused``."""
+def test_linear_extension_count_of_a_wide_antichain_is_fast():
+    # One class of 30 twins: one chain, times 30!, instead of a DP over
+    # 2^30 down-sets.
+    start = time.perf_counter()
+    assert Poset(30, []).linear_extension_count() == math.factorial(30)
+    assert Poset(200, []).linear_extension_count() == math.factorial(200)
+    assert time.perf_counter() - start < 1
+
+
+def test_linear_extension_count_matches_the_down_set_dp():
+    # The twin-chained count times its weight against the DP on the
+    # order itself, and against the listing on posets with twins.
+    rng = random.Random(37)
+    for _ in range(300):
+        n = rng.randrange(12)
+        density = rng.uniform(0.1, 0.5)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+        p = natural_poset(n, pairs).relabel(rng.sample(range(n), n))
+        up_strict, _upper, lower = walk_inputs(p)
+        top = sum(1 << x for x in p.maximal_elements())
+        assert p.linear_extension_count() == _count_extensions((1 << n) - 1, top, up_strict, lower, {0: 1})
+    for p in twin_posets():
+        assert p.linear_extension_count() == sum(1 for _ in p.linear_extensions())
+
+
+def walk_inputs(p: Poset):
+    """Strict up-masks, upper and lower cover lists of ``p``, by id."""
     up_strict = [p.up_mask(x) & ~(1 << x) for x in range(p.n)]
+    return up_strict, [p.upper_covers(x) for x in range(p.n)], [p.lower_covers(x) for x in range(p.n)]
+
+
+def test_twin_walk_leaves_a_twin_free_order_alone():
+    for p in [poset_h(), Poset(4, [(0, 1), (0, 2), (1, 3)]), Poset(3, [(0, 1), (1, 2)])]:
+        up_strict, upper, lower = walk_inputs(p)
+        assert twin_walk(up_strict, upper, lower) == (up_strict, lower, 1)
+
+
+def test_twin_walk_chains_each_twin_class():
+    # Twin classes {0, 1, 2} (below 3) and {4, 5} (isolated): weight 3! 2!.
+    p = Poset(6, [(0, 3), (1, 3), (2, 3)])
+    walk_up, walk_lower, weight = twin_walk(*walk_inputs(p))
+    assert weight == 12
+    assert walk_up == [0b1000, 0b1001, 0b1011, 0, 0, 0b10000]
+    assert walk_lower == [(1,), (2,), (), (0, 1, 2), (5,), ()]
+
+
+def test_twin_walk_reaches_one_extension_per_orbit():
+    # The walk of the chained order reaches, in the plain walk's order,
+    # exactly the extensions that place each twin class least id first,
+    # and there are the extension count over the weight of them.
+    for p in twin_posets():
+        up_strict, upper, lower = walk_inputs(p)
+        classes: dict = {}
+        for x in range(p.n):
+            classes.setdefault((upper[x], lower[x]), []).append(x)
+        full, total = walk(p, set())
+        ordered = [
+            g for g in full
+            if all(sorted(c, key=g.index, reverse=True) == c for c in classes.values())
+        ]
+        walk_up, walk_lower, weight = twin_walk(up_strict, upper, lower)
+        assert weight == math.prod(math.factorial(len(c)) for c in classes.values())
+        assert walk(p, set(), walk_up, walk_lower) == (ordered, total // weight)
+        assert len(ordered) * weight == total
+
+
+def walk(p: Poset, refused, up_strict=None, lower=None) -> tuple[list[tuple[int, ...]], int]:
+    """The extensions that ``superiors_first`` reaches on ``p``, or on
+    the order given by ``up_strict`` and ``lower``, most derived first,
+    and its leaves plus cut-off counts, with a step that refuses the
+    (element, depth) pairs in ``refused``."""
+    if up_strict is None:
+        up_strict, _upper, lower = walk_inputs(p)
     placed = [0] * p.n
     accepted = [True]
 
@@ -168,7 +243,6 @@ def walk(p: Poset, refused) -> tuple[list[tuple[int, ...]], int]:
         return accepted[0]
 
     leaves, total = [], 0
-    lower = [p.lower_covers(x) for x in range(p.n)]
     for cut in superiors_first(up_strict, lower, step):
         if accepted[0]:
             assert cut == 0

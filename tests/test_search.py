@@ -28,7 +28,7 @@ from c3control import (
 )
 from c3control.search import _c3_all_fail_counts, iso_classes, screen_infeasible
 
-from conftest import natural_poset, posets_of_size, python_mros, random_posets
+from conftest import natural_poset, posets_of_size, python_mros, random_posets, twin_posets
 
 LABELED = [1, 1, 2, 7, 40, 357]
 ISO = [1, 1, 2, 5, 16, 63]
@@ -109,10 +109,14 @@ def test_run_experiment_against_direct_c3(h_upper):
     # The memoised walk, full and screened, must agree with plain
     # per-extension c3_mro.  Its merges are keyed on their input MROs; a
     # coarser key (the cover ids, or the element alone) reuses merges
-    # whose inputs differ and miscounts some of these posets.
+    # whose inputs differ and miscounts some of these posets.  It places
+    # each class of twins least id first and weighs each extension it
+    # reaches by the product of the classes' factorials; the posets with
+    # twins fail on no, some and every extension.
     small = [p for n in range(6) for p in posets_of_size(n)]
     larger = [h_upper, h_upper.relabel(random.Random(7).sample(range(9), 9))]
     larger += random_posets(seed=13, count=20, sizes=range(8, 11), max_extensions=1500)
+    larger += twin_posets()
     for p in small + larger:
         exts, fails = direct_c3_counts(p)
         assert _c3_all_fail_counts(p) == (exts, fails)
