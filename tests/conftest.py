@@ -10,10 +10,10 @@ other lists' tails, the oracle for ``merge_kernel``.  ``natural_poset``,
 ``random_posets`` and the ``hypothesis`` strategy
 ``posets_with_extension`` draw random posets for the differential and
 property tests, and ``add_twins`` and ``twin_posets`` give posets with
-twins, elements with the same upper and lower covers; ``random_family`` grows a large hierarchy class by
-class, ``grown_relaxed_lists`` grows one with shuffled relaxed
-precedence lists, and ``random_extension`` draws a seeded linear
-extension of it.  ``recursive_linear_extensions``, the recursive
+twins, elements with the same upper and lower covers; ``random_family``
+grows a large hierarchy class by class, ``grown_relaxed_lists`` grows
+one with shuffled relaxed precedence lists, and ``random_extension``
+draws a seeded linear extension of it.  ``recursive_linear_extensions``, the recursive
 generator that ``Poset.linear_extensions`` replaced, is its oracle.
 """
 

@@ -209,8 +209,8 @@ def test_twin_walk_chains_each_twin_class():
 
 def test_twin_walk_reaches_one_extension_per_orbit():
     # The walk of the chained order reaches, in the plain walk's order,
-    # exactly the extensions that place each twin class least id first,
-    # and there are the extension count over the weight of them.
+    # exactly the extensions that place each twin class least id first:
+    # one per orbit, the extension count over the weight.
     for p in twin_posets():
         up_strict, upper, lower = walk_inputs(p)
         classes: dict = {}
