@@ -143,8 +143,7 @@ def count_additions_per_extension(p: Poset) -> dict[int, int]:
     """
     n = p.n
     upper = p._upper
-    up_strict = [p._up_mask[x] & ~(1 << x) for x in range(n)]
-    ups = [tuple(y for y in range(n) if up >> y & 1) for up in up_strict]
+    ups = [tuple(y for y in range(n) if y != x and up >> y & 1) for x, up in enumerate(p._up_mask)]
     placed_at = [0] * n
     depth_of = placed_at.__getitem__
     key = lambda x: -placed_at[x]  # later placed is more derived
@@ -163,8 +162,8 @@ def count_additions_per_extension(p: Poset) -> dict[int, int]:
         totals[depth + 1] = totals[depth] + added
         return True
 
-    walk_up, walk_lower, weight = twin_walk(up_strict, upper, p._lower)
-    for _ in superiors_first(walk_up, walk_lower, place):
+    walk_upper, walk_lower, weight = twin_walk(upper, p._lower)
+    for _ in superiors_first(walk_upper, walk_lower, place):
         histogram[totals[n]] = histogram.get(totals[n], 0) + weight
     return dict(sorted(histogram.items()))
 

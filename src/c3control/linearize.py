@@ -348,8 +348,12 @@ def check_local_consistency(p: Poset, assignment: Assignment, order: Sequence[in
 
     Positions are ordered transitively, so neighbouring list entries are
     the only pairs compared."""
-    pos = _order_positions(p, order)
-    for c in order:
+    return _local_consistent(assignment, _order_positions(p, order))
+
+
+def _local_consistent(assignment: Assignment, pos: Mapping[int, int]) -> bool:
+    """``check_local_consistency`` given the order's positions, in order."""
+    for c in pos:
         seq = assignment[c]
         for b, a in zip(seq, seq[1:]):
             if pos[b] > pos[a]:
@@ -362,17 +366,25 @@ def check_extended_consistency(p: Poset, assignment: Assignment, order: Sequence
     every B' that is B or a strict superior of B, and is not above A, must
     precede A.
 
-    Including B' = B makes this subsume plain local consistency.  B' = A
-    itself (possible only with relaxed lists where A > B) is skipped: no
-    order can place an element before itself.
+    B' = B compares the listed pair itself unless B lies above A, so on
+    an order that C3 produced, which follows every list, this check
+    implies plain local consistency, but not on every order: for the
+    chain 0 < 1 < 2 with the list (2, 1) at 0, the order (0, 1, 2) fails
+    local consistency and passes this check.  B' = A itself (possible
+    only with relaxed lists where A > B) is skipped: no order can place
+    an element before itself.
 
     This condition is strictly stronger than what a successful C3 run
     guarantees: C3 can emit A before B' when B' is blocked by another
     pending list (smallest example: bottom below an antichain {x, y, z}
     listed (x, z, y) with x, y sharing an extra top).
     """
-    pos = _order_positions(p, order)
-    for c in order:
+    return _extended_consistent(p, assignment, _order_positions(p, order))
+
+
+def _extended_consistent(p: Poset, assignment: Assignment, pos: Mapping[int, int]) -> bool:
+    """``check_extended_consistency`` given the order's positions, in order."""
+    for c in pos:
         seq = assignment[c]
         for i, b in enumerate(seq):
             bset = p.up_set(b)

@@ -172,25 +172,24 @@ class Poset:
     def linear_extensions(self) -> Iterator[tuple[int, ...]]:
         """All linear extensions, lexicographically by id sequence:
         ``superiors_first`` on the dual order, so an element is placed
-        once all of its strict inferiors are."""
+        once all of its lower covers are."""
         order = [0] * self.n
 
         def place(x: int, depth: int) -> bool:
             order[depth] = x
             return True
 
-        down_strict = [m & ~(1 << x) for x, m in enumerate(self._down_mask)]
-        for _ in superiors_first(down_strict, self._upper, place):
+        for _ in superiors_first(self._lower, self._upper, place):
             yield tuple(order)
 
     def linear_extension_count(self) -> int:
         """The down-set DP of ``_count_extensions`` on the ``twin_walk``
-        order, times its weight: a class of k twins costs one chain, not
+        order, which ``superiors_first`` runs when it refuses every first
+        step, times its weight: a class of k twins costs one chain, not
         2^k down-sets."""
-        up_strict = [m & ~(1 << x) for x, m in enumerate(self._up_mask)]
-        walk_up, walk_lower, weight = twin_walk(up_strict, self._upper, self._lower)
-        top = sum(1 << x for x in range(self.n) if not walk_up[x])
-        return weight * _count_extensions((1 << self.n) - 1, top, walk_up, walk_lower, {0: 1})
+        walk_upper, walk_lower, weight = twin_walk(self._upper, self._lower)
+        cuts = superiors_first(walk_upper, walk_lower, lambda x, depth: False)
+        return weight * sum(cut or 1 for cut in cuts)  # n = 0 reaches its one extension
 
     def antichains(self) -> Iterator[tuple[int, ...]]:
         """All antichains (as sorted id tuples), the empty one included,
@@ -255,9 +254,7 @@ class Poset:
 
         See ``canonical_key``, which computes it from the cover structure.
         """
-        return canonical_key(
-            self.n, self.covers, self._upper, self._lower, self._up_mask, self._down_mask
-        )[0]
+        return canonical_key(self._upper, self._lower, self._up_mask, self._down_mask)[0]
 
     @classmethod
     def from_canonical_key(cls, key: bytes) -> "Poset":
@@ -269,10 +266,10 @@ class Poset:
         return cls(key[0], zip(key[1::2], key[2::2]))
 
 
-def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> tuple[bytes, int]:
-    """Canonical form and automorphism count of the poset on ``0..n-1``
-    with the given cover pairs, upper and lower cover lists and reflexive
-    up-/down-set bitmasks.
+def canonical_key(upper, lower, up_mask, down_mask) -> tuple[bytes, int]:
+    """Canonical form and automorphism count of the poset on ``0..n-1``,
+    n the length of the lists, with the given upper and lower cover lists
+    and reflexive up-/down-set bitmasks.
 
     Iterative partition refinement on degree/level signatures, then the
     minimum, over every product of within-cell permutations, of the
@@ -283,6 +280,7 @@ def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> tuple[byt
     structure (the search's class generator) use it without building a
     Poset.
     """
+    n = len(upper)
     if n == 0:
         return b"\x00", 1
     if n > 255:
@@ -307,6 +305,7 @@ def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> tuple[byt
             break
         color = color2
 
+    covers = [(c, a) for c in range(n) for a in upper[c]]
     cells: dict[int, list[int]] = {}
     for x in range(n):
         cells.setdefault(color[x], []).append(x)
@@ -346,28 +345,29 @@ def canonical_key(n: int, covers, upper, lower, up_mask, down_mask) -> tuple[byt
     return bytes(out), ties
 
 
-def superiors_first(up_strict: Sequence[int], lower, step) -> Iterator[int]:
-    """Walk the linear extensions of the order on ``0..n-1`` whose strict
-    up-sets are the bitmasks ``up_strict`` and whose lower covers are
-    ``lower``, superiors first: each node places a ready element, one
-    whose strict superiors are all placed, least id first, and calls
+def superiors_first(upper, lower, step) -> Iterator[int]:
+    """Walk the linear extensions of the order on ``0..n-1`` with upper
+    cover lists ``upper`` and lower cover lists ``lower``, superiors
+    first: each node places a ready element, one whose upper covers, and
+    so all of its strict superiors, are placed, least id first, and calls
     ``step(x, depth)``.  A step that returns False cuts off the subtree
     below; the walk then yields the number of extensions cut off, never
     0.  Each extension reached yields 0.  The frames live in per-depth
     arrays, not on the call stack: the elements still to place, the
     ready ones, and of those the ones still to try.  Placing x leaves the
-    ready set without x, plus each lower cover of x whose strict
-    superiors are now all placed.
+    ready set without x, plus each lower cover of x whose upper covers
+    are now all placed.
     """
-    n = len(up_strict)
+    n = len(upper)
     if not n:
         yield 0
         return
+    above = [sum(1 << a for a in u) for u in upper]
     todo = [0] * n
     ready = [0] * n
     left = [0] * n
     todo[0] = (1 << n) - 1
-    ready[0] = left[0] = sum(1 << x for x in range(n) if not up_strict[x])
+    ready[0] = left[0] = sum(1 << x for x in range(n) if not upper[x])
     counts = {0: 1}
     depth = 0
     while depth >= 0:
@@ -381,10 +381,10 @@ def superiors_first(up_strict: Sequence[int], lower, step) -> Iterator[int]:
         rest = todo[depth] ^ bit
         top = ready[depth] ^ bit
         for c in lower[x]:
-            if not up_strict[c] & rest:
+            if not above[c] & rest:
                 top |= 1 << c
         if not step(x, depth):
-            yield _count_extensions(rest, top, up_strict, lower, counts)
+            yield _count_extensions(rest, top, above, lower, counts)
         elif not rest:
             yield 0
         else:
@@ -393,48 +393,49 @@ def superiors_first(up_strict: Sequence[int], lower, step) -> Iterator[int]:
             ready[depth] = left[depth] = top
 
 
-def twin_walk(up_strict: Sequence[int], upper, lower) -> tuple[list[int], list[tuple[int, ...]], int]:
+def twin_walk(upper, lower) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], int]:
     """A stronger order for ``superiors_first`` that puts each class of
     twins, elements with the same upper and the same lower covers, in a
-    chain by ascending id: ``(walk_up, walk_lower, weight)``.
+    chain by ascending id: ``(walk_upper, walk_lower, weight)``.
 
     Swapping two twins is an automorphism, so the linear extensions fall
     into orbits of ``weight`` (the product of the classes' factorials)
     extensions each, and the orbit holds one extension of the chained
     order: the one that places each class's twins least id first.  A
     count that is invariant under automorphisms, taken over the walk of
-    ``walk_up`` and ``walk_lower`` and multiplied by ``weight``, is its
-    count over every extension.  The larger twin's walk up-mask gains the
-    smaller twin and its mask, and the smaller twin's walk lower list
-    gains the larger twin.  Both walks take the least ready id first, so
-    the walk of the chained order visits a subsequence of the extensions
-    that ``superiors_first`` reaches on ``up_strict`` and ``lower``, in
-    the same order.
+    ``walk_upper`` and ``walk_lower`` and multiplied by ``weight``, is its
+    count over every extension.  The larger twin's walk upper list gains
+    the smaller twin as an extra upper cover, and the smaller twin's walk
+    lower list gains the larger twin.  Both walks take the least ready id
+    first, so the walk of the chained order visits a subsequence of the
+    extensions that ``superiors_first`` reaches on ``upper`` and
+    ``lower``, in the same order.
     """
-    walk_up = list(up_strict)
+    walk_upper = list(map(tuple, upper))
     walk_lower = list(map(tuple, lower))
     weight = 1
     last: dict = {}  # twin class -> (its largest id so far, its size)
-    for x in range(len(up_strict)):
+    for x in range(len(upper)):
         key = (frozenset(upper[x]), frozenset(lower[x]))
         if key in last:
             y, k = last[key]
-            walk_up[x] |= walk_up[y] | 1 << y
+            walk_upper[x] += (y,)
             walk_lower[y] += (x,)
             weight *= k + 1
             last[key] = x, k + 1
         else:
             last[key] = x, 1
-    return walk_up, walk_lower, weight
+    return walk_upper, walk_lower, weight
 
 
-def _count_extensions(mask: int, top: int, up_strict: Sequence[int], lower, counts) -> int:
+def _count_extensions(mask: int, top: int, above: Sequence[int], lower, counts) -> int:
     """Number of linear extensions of the down-set ``mask`` whose maximal
     elements are ``top``, memoised in ``counts``, which holds ``{0: 1}``:
-    the sum, over its maximal elements x, of the count without x.  The
-    maximal elements of a sub-mask follow as in ``superiors_first``.  On
-    the explicit stack a mask goes back, marked, under its uncounted
-    sub-masks, which are counted first."""
+    the sum, over its maximal elements x, of the count without x.
+    ``above`` holds the upper covers' bitmasks, and the maximal elements
+    of a sub-mask follow as in ``superiors_first``.  On the explicit
+    stack a mask goes back, marked, under its uncounted sub-masks, which
+    are counted first."""
     todo = [(mask, top, False)]
     while todo:
         m, top, expanded = todo.pop()
@@ -457,7 +458,7 @@ def _count_extensions(mask: int, top: int, up_strict: Sequence[int], lower, coun
             if sub not in counts:
                 subtop = top ^ bit
                 for c in lower[bit.bit_length() - 1]:
-                    if not up_strict[c] & sub:
+                    if not above[c] & sub:
                         subtop |= 1 << c
                 todo.append((sub, subtop, False))
     return counts[mask]

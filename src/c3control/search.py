@@ -70,9 +70,10 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
     """(extension_count, failure_count) for the poset with a bottom
     adjoined, over all linear extensions of the upper part, walked by
     ``poset.superiors_first``: its step merges the placed element's MRO,
-    a failed merge cuts off the subtree, counted whole as failures, and
-    each leaf merges the bottom.  With ``screen``, the walk stops at the
-    first extension on which C3 succeeds and returns None.
+    and the bottom's after the last element.  A failed merge cuts off
+    the subtree, counted whole as failures; each extension reached is
+    one success.  With ``screen``, the walk stops at the first extension
+    on which C3 succeeds and returns None.
 
     The walk runs on the ``poset.twin_walk`` order, which places each
     class of twins (elements with the same upper and lower covers) least
@@ -90,9 +91,9 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
     MROs and the list of their heads (on the bench's seed-1
     ``instrument-extensions`` posets, 1,892 kernel calls for 39,974
     merges).  The cover ids alone are too coarse a key: they miscount
-    posets of five elements.  The leaf memo keeps only whether the
-    bottom's merge fails; its keys, MROs of minimal elements, never meet
-    an element's merge inputs, which are MROs of upper covers.
+    posets of five elements.  The bottom's merges share the memo: their
+    keys, MROs of minimal elements, never meet an element's, MROs of its
+    upper covers, as no element lies below a minimal one.
 
     The walk runs on a natural relabeling, ids ascending from the most
     derived element, because the extensions it then tries first let C3
@@ -107,12 +108,8 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
         new[x] = i
     upper = [tuple(new[a] for a in p._upper[x]) for x in order]
     lower = [tuple(new[c] for c in p._lower[x]) for x in order]
-    up_strict = [0] * n
-    for i in reversed(range(n)):  # superiors have larger ids
-        for a in upper[i]:
-            up_strict[i] |= up_strict[a] | 1 << a
     minimals = [new[x] for x in p.minimal_elements()]
-    multi_min = len(minimals) > 1
+    bottom_at = n - 1 if len(minimals) > 1 else -1  # one minimal: C3 cannot fail
 
     # A maximal element's MRO is (x,) on every path: one tuple, so the
     # memo's keys share it.
@@ -120,7 +117,14 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
     revpos = [0] * n
     revkey = revpos.__getitem__
     merges: dict = {}
-    leaves: dict = {}  # the bottom's merge inputs -> whether it fails
+
+    def merge(covs):
+        lst = sorted(covs, key=revkey, reverse=True)
+        inputs = tuple(map(mros.__getitem__, lst))
+        merged = merges.get(inputs)
+        if merged is None:
+            merged = merges[inputs] = merge_kernel([*inputs, lst], n)
+        return merged
 
     def place(x: int, depth: int) -> bool:
         covs = upper[x]
@@ -129,36 +133,20 @@ def _c3_all_fail_counts(p: Poset, screen: bool = False) -> tuple[int, int] | Non
             # merge(MRO(b), (b,)) is always MRO(b)
             mros[x] = (x, *mros[covs[0]])
         elif covs:
-            lst = sorted(covs, key=revkey, reverse=True)
-            inputs = tuple(map(mros.__getitem__, lst))
-            merged = merges.get(inputs)
-            if merged is None:
-                merged = merges[inputs] = merge_kernel([*inputs, lst], n)
+            merged = merge(covs)
             if isinstance(merged, MergeFailure):
                 return False
             mros[x] = (x, *merged)
-        return True
+        # The last element completes the extension: merge the bottom.
+        return depth != bottom_at or not isinstance(merge(minimals), MergeFailure)
 
-    walk_up, walk_lower, weight = twin_walk(up_strict, upper, lower)
+    walk_upper, walk_lower, weight = twin_walk(upper, lower)
     exts = fails = 0
-    for cut in superiors_first(walk_up, walk_lower, place):
-        if cut:
-            exts += cut
-            fails += cut
-            continue
-        exts += 1
-        if multi_min:
-            lst = sorted(minimals, key=revkey, reverse=True)
-            inputs = tuple(map(mros.__getitem__, lst))
-            failed = leaves.get(inputs)
-            if failed is None:
-                merged = merge_kernel([*inputs, lst], n)
-                failed = leaves[inputs] = isinstance(merged, MergeFailure)
-            if failed:
-                fails += 1
-                continue
-        if screen:
+    for cut in superiors_first(walk_upper, walk_lower, place):
+        if screen and not cut:
             return None
+        exts += cut or 1
+        fails += cut
     return exts * weight, fails * weight
 
 
@@ -205,7 +193,6 @@ def _next_level(keys, k: int) -> dict[bytes, int]:
     newbit = 1 << k
     for key in keys:
         p = Poset.from_canonical_key(key)
-        covers = list(p.covers)
         upper, lower = p._upper, p._lower
         up, down = p._up_mask, p._down_mask
         for chain in p.antichains():
@@ -213,8 +200,6 @@ def _next_level(keys, k: int) -> dict[bytes, int]:
             for x in chain:
                 down_k |= down[x]
             child, automorphisms = canonical_key(
-                k + 1,
-                covers + [(x, k) for x in chain],
                 [upper[x] + (k,) if x in chain else upper[x] for x in range(k)] + [()],
                 lower + (chain,),
                 [up[y] | newbit if down_k >> y & 1 else up[y] for y in range(k)] + [newbit],

@@ -17,6 +17,7 @@ from c3control import (
     check_local_consistency,
     check_monotone,
     induced_assignment,
+    poset_h,
 )
 from c3control import search
 from c3control.cli import (
@@ -272,6 +273,18 @@ def test_search_machine(capsys):
     assert payload["records_infeasible"] == []
 
 
+def test_search_text_reports_an_infeasible_class(monkeypatch, capsys):
+    # No depth that runs quickly has an infeasible class, so the search
+    # returns the record of H minus its bottom F.
+    record = search.run_experiment(poset_h().restrict(range(9)))
+    summary = search.SearchSummary(n=9, labeled_poset_count=1, iso_class_count=1, records=(record,))
+    monkeypatch.setattr(search, "map_reduce_search", lambda n, workers, allow_large: summary)
+    code, out, _ = run(capsys, "search", "9")
+    assert code == EXIT_OK
+    assert "infeasible     : 1 class(es)\n" in out
+    assert out.endswith(" (720/720 failures)\n")
+
+
 def test_search_depth_gate(capsys):
     code, out, err = run(capsys, "search", "8")
     assert code == EXIT_DOMAIN
@@ -338,6 +351,10 @@ MALFORMED = {
     "repeated_precedence": (
         "elements: A B C\ncover: C A\ncover: C B\nprecedence: C = A B\nprecedence: C = B A\n"
     ),
+    "cover_with_one_name": "elements: A B\ncover: B\n",
+    "precedence_without_equals": "elements: A B\ncover: B A\nprecedence: B A\n",
+    "unknown_key": "elements: A B\ncover: B A\nparents: B A\n",
+    "unknown_name_in_global_order": "elements: A B\ncover: B A\nglobal_order: B Z\n",
 }
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from c3control import (
     InputError,
+    LinearizationFailedError,
     MergeFailure,
     NotLinearExtensionError,
     Poset,
@@ -248,6 +249,14 @@ def test_merge_step_count_brute_force_dominates():
         g = tuple(range(n))
         assert merge_step_count(p, induced_assignment(p, g), 0) == cheap
         assert merge_step_count(p, brute_force_assignment(p, g), 0) == costly
+
+
+def test_merge_step_count_raises_on_a_failing_assignment():
+    # H's induced lists make C3 fail at F on every linear extension.
+    h = poset_h()
+    a = induced_assignment(h, next(h.linear_extensions()))
+    with pytest.raises(LinearizationFailedError):
+        merge_step_count(h, a, h.id_of("F"))
 
 
 def test_merge_step_count_deterministic():

@@ -338,6 +338,18 @@ def test_checkers_on_paper_example():
     assert not check_extended_consistency(p, DEVIATES_LISTS, bad)
 
 
+def test_extended_consistency_does_not_subsume_local_on_every_order():
+    # The list (2, 1) at 0 names a superior before its inferior: local
+    # consistency fails on (0, 1, 2), while the extended check skips
+    # B' = 2 as it lies above A = 1.  C3 itself fails on these lists.
+    p = Poset(3, [(0, 1), (1, 2)])
+    lists = {0: (2, 1), 1: (2,), 2: ()}
+    validate_assignment(p, lists)
+    assert not check_local_consistency(p, lists, (0, 1, 2))
+    assert check_extended_consistency(p, lists, (0, 1, 2))
+    assert isinstance(c3_mro(p, lists, 0), MergeFailure)
+
+
 def test_checkers_reject_non_permutations():
     p = deviates()
     with pytest.raises(NotAPermutationError):

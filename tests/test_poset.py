@@ -14,11 +14,12 @@ from c3control import (
     CycleError,
     DuplicateNameError,
     InputError,
+    NotAPermutationError,
     NotReducedError,
     Poset,
     poset_h,
 )
-from c3control.poset import _count_extensions, superiors_first, twin_walk
+from c3control.poset import superiors_first, twin_walk
 
 from conftest import (
     natural_poset,
@@ -78,6 +79,21 @@ def test_duplicate_names_rejected():
 def test_negative_size_rejected():
     with pytest.raises(InputError):
         Poset(-1, [])
+
+
+def test_wrong_name_count_rejected():
+    with pytest.raises(InputError):
+        Poset(2, [], ["A"])
+
+
+def test_relabel_rejects_a_non_permutation():
+    with pytest.raises(NotAPermutationError):
+        Poset(3, []).relabel([0, 0, 1])
+
+
+def test_canonical_form_rejects_more_than_255_elements():
+    with pytest.raises(ValueError):
+        Poset(256, []).canonical_form()
 
 
 @pytest.mark.parametrize("key", [b"", b"\x03\x00", b"\x02\x00\x01\x00"])
@@ -179,31 +195,29 @@ def test_linear_extension_count_matches_the_down_set_dp():
         density = rng.uniform(0.1, 0.5)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
         p = natural_poset(n, pairs).relabel(rng.sample(range(n), n))
-        up_strict, _upper, lower = walk_inputs(p)
-        top = sum(1 << x for x in p.maximal_elements())
-        assert p.linear_extension_count() == _count_extensions((1 << n) - 1, top, up_strict, lower, {0: 1})
+        # Refusing every first step counts each subtree by the DP.
+        assert p.linear_extension_count() == walk(p, {(x, 0) for x in range(n)})[1]
     for p in twin_posets():
         assert p.linear_extension_count() == sum(1 for _ in p.linear_extensions())
 
 
 def walk_inputs(p: Poset):
-    """Strict up-masks, upper and lower cover lists of ``p``, by id."""
-    up_strict = [p.up_mask(x) & ~(1 << x) for x in range(p.n)]
-    return up_strict, [p.upper_covers(x) for x in range(p.n)], [p.lower_covers(x) for x in range(p.n)]
+    """Upper and lower cover lists of ``p``, by id."""
+    return [p.upper_covers(x) for x in range(p.n)], [p.lower_covers(x) for x in range(p.n)]
 
 
 def test_twin_walk_leaves_a_twin_free_order_alone():
     for p in [poset_h(), Poset(4, [(0, 1), (0, 2), (1, 3)]), Poset(3, [(0, 1), (1, 2)])]:
-        up_strict, upper, lower = walk_inputs(p)
-        assert twin_walk(up_strict, upper, lower) == (up_strict, lower, 1)
+        upper, lower = walk_inputs(p)
+        assert twin_walk(upper, lower) == (upper, lower, 1)
 
 
 def test_twin_walk_chains_each_twin_class():
     # Twin classes {0, 1, 2} (below 3) and {4, 5} (isolated): weight 3! 2!.
     p = Poset(6, [(0, 3), (1, 3), (2, 3)])
-    walk_up, walk_lower, weight = twin_walk(*walk_inputs(p))
+    walk_upper, walk_lower, weight = twin_walk(*walk_inputs(p))
     assert weight == 12
-    assert walk_up == [0b1000, 0b1001, 0b1011, 0, 0, 0b10000]
+    assert walk_upper == [(3,), (3, 0), (3, 1), (), (), (4,)]
     assert walk_lower == [(1,), (2,), (), (0, 1, 2), (5,), ()]
 
 
@@ -212,7 +226,7 @@ def test_twin_walk_reaches_one_extension_per_orbit():
     # exactly the extensions that place each twin class least id first:
     # one per orbit, the extension count over the weight.
     for p in twin_posets():
-        up_strict, upper, lower = walk_inputs(p)
+        upper, lower = walk_inputs(p)
         classes: dict = {}
         for x in range(p.n):
             classes.setdefault((upper[x], lower[x]), []).append(x)
@@ -221,19 +235,19 @@ def test_twin_walk_reaches_one_extension_per_orbit():
             g for g in full
             if all(sorted(c, key=g.index, reverse=True) == c for c in classes.values())
         ]
-        walk_up, walk_lower, weight = twin_walk(up_strict, upper, lower)
+        walk_upper, walk_lower, weight = twin_walk(upper, lower)
         assert weight == math.prod(math.factorial(len(c)) for c in classes.values())
-        assert walk(p, set(), walk_up, walk_lower) == (ordered, total // weight)
+        assert walk(p, set(), walk_upper, walk_lower) == (ordered, total // weight)
         assert len(ordered) * weight == total
 
 
-def walk(p: Poset, refused, up_strict=None, lower=None) -> tuple[list[tuple[int, ...]], int]:
+def walk(p: Poset, refused, upper=None, lower=None) -> tuple[list[tuple[int, ...]], int]:
     """The extensions that ``superiors_first`` reaches on ``p``, or on
-    the order given by ``up_strict`` and ``lower``, most derived first,
+    the order given by ``upper`` and ``lower``, most derived first,
     and its leaves plus cut-off counts, with a step that refuses the
     (element, depth) pairs in ``refused``."""
-    if up_strict is None:
-        up_strict, _upper, lower = walk_inputs(p)
+    if upper is None:
+        upper, lower = walk_inputs(p)
     placed = [0] * p.n
     accepted = [True]
 
@@ -243,7 +257,7 @@ def walk(p: Poset, refused, up_strict=None, lower=None) -> tuple[list[tuple[int,
         return accepted[0]
 
     leaves, total = [], 0
-    for cut in superiors_first(up_strict, lower, step):
+    for cut in superiors_first(upper, lower, step):
         if accepted[0]:
             assert cut == 0
             leaves.append(tuple(reversed(placed)))

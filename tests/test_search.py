@@ -199,6 +199,11 @@ def test_large_depth_gated():
         find_infeasible(9)
 
 
+def test_negative_depth_rejected():
+    with pytest.raises(ValueError):
+        iso_classes(-1)
+
+
 def test_find_infeasible_empty_small():
     for n in range(6):
         assert find_infeasible(n) == []
