@@ -157,10 +157,15 @@ def cmd_check(args) -> int:
     # a failed MRO also fails every element below it.
     monotone = [False] * p.n
     for c in reversed(next(p.linear_extensions())):
-        monotone[c] = not isinstance(mros[c], MergeFailure) and all(
-            monotone[b] and tuple(x for x in mros[c] if p.up_mask(b) >> x & 1) == mros[b]
-            for b in p.upper_covers(c)
-        )
+        mro = mros[c]
+        if isinstance(mro, MergeFailure):
+            continue
+        for b in p.upper_covers(c):
+            up = p.up_mask(b)
+            if not monotone[b] or tuple(x for x in mro if up >> x & 1) != mros[b]:
+                break
+        else:
+            monotone[c] = True
     # The extended-precedence condition is strictly stronger than what a
     # successful C3 run guarantees (relaxed lists trade it away on
     # purpose, and even covers-only lists can deviate), so that column is

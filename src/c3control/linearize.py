@@ -382,18 +382,21 @@ def check_extended_consistency(p: Poset, assignment: Assignment, order: Sequence
     return _extended_consistent(p, assignment, _order_positions(p, order))
 
 
-def _extended_consistent(p: Poset, assignment: Assignment, pos: Mapping[int, int]) -> bool:
-    """``check_extended_consistency`` given the order's positions, in order."""
+def _extended_consistent(p: Poset, assignment: Assignment, pos: dict[int, int]) -> bool:
+    """``check_extended_consistency`` given the order's positions, in
+    order: no B' in up(B) but not in up(A) may come after A."""
+    later = {}  # each entry -> the bitmask of the entries after it
+    mask = 0
+    for x in reversed(pos):
+        later[x] = mask
+        mask |= 1 << x
     for c in pos:
         seq = assignment[c]
         for i, b in enumerate(seq):
-            bset = p.up_set(b)
+            up_b = p.up_mask(b)
             for a in seq[i + 1:]:
-                for bp in bset:
-                    if bp == a or p.lt(a, bp):
-                        continue
-                    if pos[bp] > pos[a]:
-                        return False
+                if up_b & later[a] & ~p.up_mask(a):
+                    return False
     return True
 
 

@@ -36,7 +36,7 @@ class Poset:
             raise InputError(f"negative element count {n}")
         covers = frozenset((int(c), int(a)) for c, a in covers)
         if names is None:
-            names = tuple(str(i) for i in range(n))
+            names = tuple(map(str, range(n)))
         else:
             names = tuple(names)
             if len(names) != n:
@@ -52,14 +52,14 @@ class Poset:
 
         upper = [[] for _ in range(n)]
         lower = [[] for _ in range(n)]
-        for c, a in covers:
+        for c, a in sorted(covers):  # fills every list in ascending order
             upper[c].append(a)
             lower[a].append(c)
         self.n = n
         self.names = names
         self.covers = covers
-        self._upper = tuple(tuple(sorted(u)) for u in upper)
-        self._lower = tuple(tuple(sorted(d)) for d in lower)
+        self._upper = tuple(map(tuple, upper))
+        self._lower = tuple(map(tuple, lower))
 
         order = self._topological_order()
         self._up_mask = _closure(order, self._upper)
@@ -88,9 +88,18 @@ class Poset:
         return order
 
     def _check_reduced(self) -> None:
-        for c, a in sorted(self.covers):
-            for b in self._upper[c]:
-                if b != a and self._up_mask[b] >> a & 1:
+        """Raise NotReducedError on the least cover pair (c, a) whose a
+        lies strictly above another upper cover of c; ``_upper`` lists
+        the pairs in sorted order."""
+        up = self._up_mask
+        for c, covs in enumerate(self._upper):
+            if len(covs) < 2:
+                continue
+            above = 0  # strict superiors of c's upper covers
+            for b in covs:
+                above |= up[b] ^ (1 << b)
+            for a in covs:
+                if above >> a & 1:
                     raise NotReducedError((self.names[c], self.names[a]))
 
     # -- basic queries ---------------------------------------------------
@@ -273,7 +282,8 @@ def canonical_key(upper, lower, up_mask, down_mask) -> tuple[bytes, int]:
 
     Iterative partition refinement on degree/level signatures, then the
     minimum, over every product of within-cell permutations, of the
-    relabeled cover set.  Every automorphism preserves the cells, and
+    relabeled cover set, each pair (c, a) encoded as ``c * n + a``, which
+    sorts as the pair does.  Every automorphism preserves the cells, and
     two of these relabelings give the same cover set iff they differ by
     an automorphism, so the number that reach the minimum is the order of
     the automorphism group.  Callers that already hold the cover
@@ -286,21 +296,17 @@ def canonical_key(upper, lower, up_mask, down_mask) -> tuple[bytes, int]:
     if n > 255:
         raise ValueError("canonical_form supports at most 255 elements")
 
-    sig = [
-        (len(upper[x]), len(lower[x]), up_mask[x].bit_count(), down_mask[x].bit_count())
-        for x in range(n)
-    ]
-    color = _rank(sig)
-    while True:
-        sig2 = [
-            (
-                color[x],
-                tuple(sorted(color[y] for y in upper[x])),
-                tuple(sorted(color[y] for y in lower[x])),
-            )
-            for x in range(n)
-        ]
-        color2 = _rank(sig2)
+    color = _rank(list(zip(
+        map(len, upper), map(len, lower), map(int.bit_count, up_mask), map(int.bit_count, down_mask)
+    )))
+    while max(color) < n - 1:  # a discrete partition refines no further
+        col = color.__getitem__
+        sig2 = zip(
+            color,
+            [tuple(sorted(map(col, u))) for u in upper],
+            [tuple(sorted(map(col, d))) for d in lower],
+        )
+        color2 = _rank(list(sig2))
         if color2 == color:
             break
         color = color2
@@ -319,7 +325,7 @@ def canonical_key(upper, lower, up_mask, down_mask) -> tuple[bytes, int]:
     start = sum(map(len, ordered_cells[:big]))
     del ordered_cells[big]
     pos = [0] * n
-    best: list[tuple[int, int]] | None = None
+    best: list[int] | None = None
     ties = 0
     for perms in product(*map(permutations, ordered_cells)):
         i = 0
@@ -332,16 +338,15 @@ def canonical_key(upper, lower, up_mask, down_mask) -> tuple[bytes, int]:
         for perm in permutations(big_cell):
             for i, x in enumerate(perm, start):
                 pos[x] = i
-            enc = sorted((pos[c], pos[a]) for c, a in covers)
+            enc = sorted([pos[c] * n + pos[a] for c, a in covers])
             if best is None or enc < best:
                 best, ties = enc, 1
             elif enc == best:
                 ties += 1
 
-    out = bytearray([n])
-    for c, a in best:
-        out.append(c)
-        out.append(a)
+    out = [n]
+    for pair in best:
+        out += divmod(pair, n)
     return bytes(out), ties
 
 

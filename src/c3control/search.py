@@ -7,7 +7,15 @@ level k - 1 class representatives, one per antichain, meet every class
 on k elements.  Children are deduplicated by canonical key (isomorph
 rejection, after McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 1998), and a class's representative is the poset decoded
-from its key.
+from its key.  Two rules reject an antichain before its child is
+canonicalised, and both are exact: every class keeps a child that
+passes them.  The down-set rule keeps only children whose new element
+has a down-set at least as large as every other maximal element's
+(deleting such an element from a class gives a parent that yields the
+class back), and the twin rule keeps one antichain per orbit of the
+parent's twin swaps, which are automorphisms.  Brinkmann and McKay
+("Posets on up to 16 points", Order 2002) enumerate posets with the same
+scheme.
 
 The C3 experiment (adjoin a bottom element, run C3 for every linear
 extension with the induced cover-only, extension-sorted precedence
@@ -188,19 +196,46 @@ def iso_classes(n: int, allow_large: bool = False) -> list[tuple[bytes, int]]:
 def _next_level(keys, k: int) -> dict[bytes, int]:
     """The classes on ``k + 1`` elements, mapped to their automorphism
     counts: each representative on ``k`` elements gets a new maximal
-    element ``k`` covering exactly one of its antichains."""
+    element ``k`` covering exactly one of its antichains.
+
+    Two rules reject an antichain before its child is canonicalised, and
+    every class on ``k + 1`` elements keeps a child that passes both.
+    - Down-set rule: skip it when some maximal element of the parent has
+      a strictly larger down-set than the new element.  A class has a
+      maximal element x whose down-set is the largest among its maximal
+      elements.  Deleting x leaves a parent whose maximal elements are
+      maximal in the class or lie below x, so the child that adds x back
+      to the parent's representative passes.  A member of the antichain
+      lies below the new element, so it needs no exception.
+    - Twin rule: skip it when it holds a twin but not that twin's next
+      smaller twin (twins have the same upper and lower covers; the
+      chain is ``poset.twin_walk``'s).  Swapping two twins is an
+      automorphism of the parent: it maps an antichain to one whose
+      child is isomorphic and whose new element has the same down-set,
+      and each orbit of such swaps holds exactly one antichain that
+      takes each class of twins least id first.
+    """
     out: dict[bytes, int] = {}
     newbit = 1 << k
     for key in keys:
         p = Poset.from_canonical_key(key)
         upper, lower = p._upper, p._lower
         up, down = p._up_mask, p._down_mask
+        top = max([down[x].bit_count() for x in p.maximal_elements()], default=0)
+        walk_upper = twin_walk(upper, lower)[0]
+        # each element's next smaller twin, as a bit (0 if it has none)
+        twin = [1 << w[-1] if len(w) > len(u) else 0 for w, u in zip(walk_upper, upper)]
         for chain in p.antichains():
             down_k = newbit
+            members = needed = 0
             for x in chain:
                 down_k |= down[x]
+                members |= 1 << x
+                needed |= twin[x]
+            if needed & ~members or down_k.bit_count() < top:
+                continue
             child, automorphisms = canonical_key(
-                [upper[x] + (k,) if x in chain else upper[x] for x in range(k)] + [()],
+                [upper[x] + (k,) if members >> x & 1 else upper[x] for x in range(k)] + [()],
                 lower + (chain,),
                 [up[y] | newbit if down_k >> y & 1 else up[y] for y in range(k)] + [newbit],
                 down + (down_k,),
@@ -259,9 +294,10 @@ def map_reduce_search(
     a pool of at most one process per class runs the experiments over
     chunks of them.  The result is independent of ``workers``.  Depths 8
     and above are rejected unless ``allow_large`` is set: n = 8 takes
-    about 28 s on one CPU of a 2-core x86-64 machine, most of it in the
-    experiments, and at n = 9 ``find_infeasible``, which screens instead
-    of counting, answers in about a minute.
+    23–29 s on one CPU of a 2-core x86-64 machine, about 1.2 s of it
+    generating the classes, and at n = 9 ``find_infeasible``, which
+    screens instead of counting, answers in 35–37 s, about 15.5 s of it
+    generating the classes.
     """
     classes = iso_classes(n, allow_large)
     results = _experiments([key for key, _ in classes], workers)
