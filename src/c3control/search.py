@@ -221,7 +221,7 @@ def _next_level(keys, k: int) -> dict[bytes, int]:
         p = Poset.from_canonical_key(key)
         upper, lower = p._upper, p._lower
         up, down = p._up_mask, p._down_mask
-        top = max([down[x].bit_count() for x in p.maximal_elements()], default=0)
+        largest_down = max([down[x].bit_count() for x in p.maximal_elements()], default=0)
         walk_upper = twin_walk(upper, lower)[0]
         # each element's next smaller twin, as a bit (0 if it has none)
         twin = [1 << w[-1] if len(w) > len(u) else 0 for w, u in zip(walk_upper, upper)]
@@ -232,7 +232,7 @@ def _next_level(keys, k: int) -> dict[bytes, int]:
                 down_k |= down[x]
                 members |= 1 << x
                 needed |= twin[x]
-            if needed & ~members or down_k.bit_count() < top:
+            if needed & ~members or down_k.bit_count() < largest_down:
                 continue
             child, automorphisms = canonical_key(
                 [upper[x] + (k,) if members >> x & 1 else upper[x] for x in range(k)] + [()],
@@ -296,7 +296,7 @@ def map_reduce_search(
     and above are rejected unless ``allow_large`` is set: n = 8 takes
     23–29 s on one CPU of a 2-core x86-64 machine, about 1.2 s of it
     generating the classes, and at n = 9 ``find_infeasible``, which
-    screens instead of counting, answers in 35–37 s, about 15.5 s of it
+    screens instead of counting, answers in 34–37 s, about 15.5 s of it
     generating the classes.
     """
     classes = iso_classes(n, allow_large)
