@@ -179,7 +179,9 @@ def cmd_check(args) -> int:
             continue
         # A C3 MRO is a permutation of its up-set: one map, no validation.
         pos = {x: i for i, x in enumerate(mro)}
-        loc_ok = _local_consistent(assignment, pos)
+        # A monotone MRO restricts to each superior's C3 MRO, which keeps
+        # the order of that superior's list: only other rows need the test.
+        loc_ok = monotone[c] or _local_consistent(assignment, pos)
         ext_ok = _extended_consistent(p, assignment, pos)
         rows.append((
             p.names[c],

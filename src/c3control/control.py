@@ -46,6 +46,10 @@ def _strict_up_sets(p: Poset, g: Sequence[int], pos: Mapping[int, int]) -> list[
     ups: list[tuple[int, ...]] = [()] * p.n
     for c in reversed(g):
         covers = p.upper_covers(c)
+        if len(covers) == 1:
+            # b precedes its own superiors in g
+            ups[c] = (covers[0], *ups[covers[0]])
+            continue
         above = set(covers)
         for b in covers:
             above.update(ups[b])
@@ -58,18 +62,20 @@ def _replay(covers, target, mros, key) -> tuple[list[int], list[int]]:
     by the global order, is ``target``, given the final ``mros`` of its
     superiors; ``key`` sorts by the global order.  Returns the list, grown
     from the element's covers by one ``merge_kernel`` run with
-    ``want=target``, and the inserted elements in insertion order.
+    ``want=target``, and the inserted elements in insertion order.  An
+    element with one cover b needs no run: the merge of MRO(b) and (b,)
+    is MRO(b), which is b and then b's target, so it is the target.
 
-    The run inserts past every list pointer, so it gives the list of a
-    replay that restarts after each insertion.  It leaves out the MROs of
+    The run inserts past the merged part of the list, so it gives the
+    list of a replay that restarts after each insertion.  It leaves out the MROs of
     inserted elements, which c3_mro merges too; they would change no
     step: an inserted x lies above a cover b whose MRO, earlier in the
     scan, holds x's, and as the output follows the g-sorted target, x's
     MRO's tail stays inside b's and its good heads are b's heads too.
     """
+    if len(covers) < 2:
+        return list(covers), []
     clist = sorted(covers, key=key)
-    if not clist:
-        return clist, []
     # Every merged id is a strict superior, so it lies in the target.
     inserted = merge_kernel([*(mros[b] for b in clist), clist], 1 + max(target), want=target)
     return clist, inserted
@@ -112,9 +118,9 @@ def brute_force_assignment(p: Poset, g: Sequence[int]) -> dict[int, tuple[int, .
 
     The head of the first merge input is then always good, so C3
     reproduces ``g`` on every up-set, at a price cubic in merge tests
-    (``merge_step_count``) on deep chains.  ``c3_mro`` itself merges two
-    lists per element on a chain: every other listed MRO is inside the
-    first one.
+    (``merge_step_count``) on deep chains.  ``c3_mro`` itself runs no
+    merge on these lists: each names every element of its merge and
+    holds each listed MRO as a subsequence, so the result is forced.
     """
     return dict(enumerate(_strict_up_sets(p, g, _require_extension(p, g))))
 
@@ -131,7 +137,8 @@ def count_additions_per_extension(p: Poset) -> dict[int, int]:
     its superiors' MROs, and each of those is the element's own MRO
     ``(x, *target)`` restricted to the superior's up-set; so the count is
     memoised on that MRO, that is on (element, target), for the duration
-    of the call.
+    of the call.  An element with one cover b inserts nothing, and its
+    MRO is ``(x, *MRO(b))``, with no sort and no lookup.
 
     The walk runs on the ``poset.twin_walk`` order, which places each
     class of twins (elements with the same upper and lower covers) least
@@ -153,10 +160,15 @@ def count_additions_per_extension(p: Poset) -> dict[int, int]:
     histogram: dict[int, int] = {}
 
     def place(x: int, depth: int) -> bool:
-        mro = (x, *sorted(ups[x], key=depth_of, reverse=True))
-        added = memo.get(mro)
-        if added is None:
-            added = memo[mro] = len(_replay(upper[x], mro[1:], mros, key)[1])
+        covers = upper[x]
+        if len(covers) == 1:
+            mro = (x, *mros[covers[0]])
+            added = 0
+        else:
+            mro = (x, *sorted(ups[x], key=depth_of, reverse=True))
+            added = memo.get(mro)
+            if added is None:
+                added = memo[mro] = len(_replay(covers, mro[1:], mros, key)[1])
         mros[x] = mro
         placed_at[x] = depth
         totals[depth + 1] = totals[depth] + added

@@ -15,7 +15,7 @@ directly, instrumentation with the order the merge must produce.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, Sequence
@@ -139,99 +139,123 @@ def merge_kernel(
     sequences of ids in ``range(size)``; no argument is checked.
 
     A head is good iff it occurs in no list's tail, so goodness is one
-    lookup in per-id tail-occurrence counts, kept up to date as the list
-    pointers advance.  Returns the merged tuple or a MergeFailure.
+    lookup in per-id tail-occurrence counts.  The kernel keeps each
+    list's head in a ``heads`` array, ``size`` standing for an exhausted
+    list and counted as a tail occurrence so that it is never good; each
+    step scans that array for the first good head and advances only the
+    lists whose head it is, found left to right with ``heads.index`` (a
+    good head occurs in no tail, so every list holding it holds it as
+    its head).  The rest of each list is read through an iterator.
+    Returns the merged tuple or a MergeFailure.
 
     ``want``, when given, is the tuple the merge must produce, and
     ``seqs[-1]`` is a mutable list sorted by ``want`` order.  Whenever
     the first good head is not ``want[d]``, d the length of the output
     so far, the kernel inserts ``want[d]`` and then the head, each if
-    absent, into that list past its pointer at their ``want`` positions,
-    and retries the step.  It then returns the inserted elements in
-    insertion order, and raises AssertionError when no head is good or
-    when both elements are already listed.
+    absent, into that list at their ``want`` positions, which lie past
+    the ``d`` entries already merged, and retries the step.  It then
+    returns the inserted elements in insertion order, and raises
+    AssertionError when no head is good or when both elements are
+    already listed.
     """
     k = len(seqs)
-    ptr = [0] * k
-    lens = [len(s) for s in seqs]
-    tailc = [0] * size
+    tailc = [0] * (size + 1)
+    tailc[size] = k + 1  # less one per exhausted list, so never zero
     for s in seqs:
         for e in s[1:]:
             tailc[e] += 1
-    active = k
+    its = [iter(s) for s in seqs]
+    heads = [next(it) for it in its]
     result: list[int] = []
     append = result.append
     inserted: list[int] = []
     wpos = None
-    while active:
-        chosen = -1
-        for i in range(k):
-            pi = ptr[i]
-            if pi >= lens[i]:
-                continue
-            head = seqs[i][pi]
-            if counter is not None:
-                counter.comparisons += (
-                    _tests_until_blocked(seqs, ptr, lens, i) if tailc[head] else active - 1
-                )
-            if not tailc[head]:
-                chosen = head
+    while True:
+        for h in heads:
+            if not tailc[h]:
                 break
-        if chosen < 0:
+        else:
+            if heads.count(size) == k:
+                break
+            if counter is not None:
+                counter.comparisons += _step_tests(seqs, heads, size, None)
             if want is not None:
                 raise AssertionError("instrumented merge found no good head")
             return MergeFailure(
                 processed=tuple(result),
-                remaining=tuple(
-                    tuple(s[pi:]) for s, pi, n in zip(seqs, ptr, lens) if pi < n
-                ),
+                remaining=tuple((h, *it) for h, it in zip(heads, its) if h != size),
             )
-        if want is not None and chosen != want[len(result)]:
+        if counter is not None:
+            counter.comparisons += _step_tests(seqs, heads, size, h)
+        if want is not None and h != want[len(result)]:
             # want[d] precedes the head in want order, so a list holding
             # both would block the head: at least one of them is new
+            d = len(result)
             own = seqs[-1]
-            new = [x for x in (want[len(result)], chosen) if x not in own]
+            new = [x for x in (want[d], h) if x not in own]
             if not new:
                 raise AssertionError("instrumented merge took a listed head")
-            pi = ptr[-1]
-            if pi < lens[-1]:
-                tailc[own[pi]] += 1  # the head may be displaced
-            else:
-                active += 1
             if wpos is None:
                 wpos = {x: i for i, x in enumerate(want)}.__getitem__
             for x in new:
-                insort(own, x, lo=pi, key=wpos)
+                insort(own, x, key=wpos)
                 tailc[x] += 1
-            tailc[own[pi]] -= 1
-            lens[-1] = len(own)
+            # the list's first d entries are merged; its head may change
+            pi = bisect_left(own, d, key=wpos)
+            tailc[heads[-1]] += 1
+            head = heads[-1] = own[pi]
+            tailc[head] -= 1
+            its[-1] = iter(own[pi + 1:])
             inserted += new
             continue
-        append(chosen)
-        for i in range(k):
-            pi = ptr[i]
-            if pi < lens[i] and seqs[i][pi] == chosen:
-                pi += 1
-                ptr[i] = pi
-                if pi < lens[i]:
-                    tailc[seqs[i][pi]] -= 1
-                else:
-                    active -= 1
+        append(h)
+        i = heads.index(h)
+        while True:
+            head = heads[i] = next(its[i], size)
+            tailc[head] -= 1
+            if h not in heads:
+                break
+            i = heads.index(h, i + 1)
     return tuple(result) if want is None else inserted
 
 
-def _tests_until_blocked(seqs, ptr, lens, i) -> int:
-    """StepCounter units for the blocked head of list ``i``: one per other
-    active list, in input order, up to the first whose tail holds it.  A
-    good head costs one unit per other active list."""
-    head = seqs[i][ptr[i]]
+def _step_tests(seqs, heads, size: int, chosen: int | None) -> int:
+    """StepCounter units of one step that takes ``chosen`` (None when no
+    head is good): for each active list's head in input order up to the
+    chosen one, one unit per other active list, in input order, up to
+    the first whose tail holds the head; a good head costs one unit per
+    other active list.  Every id not yet merged that a list holds lies
+    at or past its head, so the tail test is a membership test."""
+    active = len(heads) - heads.count(size)
     tests = 0
-    for j, s in enumerate(seqs):
-        if j != i and ptr[j] < lens[j]:
-            tests += 1
-            if head in s[ptr[j] + 1:]:
-                break
+    for i, head in enumerate(heads):
+        if head == size:
+            continue
+        if head == chosen:
+            return tests + active - 1
+        for j, other in enumerate(heads):
+            if j != i and other != size:
+                tests += 1
+                if other != head and head in seqs[j]:
+                    break
     return tests
+
+
+def _forced_merge(kept, listed, total: int):
+    """The merge of the MROs ``kept`` and the list ``listed``, which hold
+    ``total`` distinct elements, when one input holds all of them and the
+    others are its subsequences: that input itself.  None otherwise."""
+    if len(kept) == 1:
+        whole, others = kept[0], (listed,)
+    elif len(listed) == total:
+        whole, others = listed, kept
+    else:
+        return None
+    for s in others:
+        it = iter(whole)
+        if not all(y in it for y in s):
+            return None
+    return whole
 
 
 def c3_mro(
@@ -261,8 +285,23 @@ def c3_mro(
     not.  Membership is tested against the kept MROs, not the poset, as
     lists are not checked to name every cover.  A failed merge that left
     an input out is merged again with every input, so the failure's
-    ``remaining`` holds every stuck list.  With a ``counter`` every input
-    is merged, so the count is that of the textbook merge.
+    ``remaining`` holds every stuck list.
+
+    The merge is not run when its result is forced.  If one input W
+    holds every merged element, a successful merge, which keeps each
+    input's order, can only be W, and C3 produces W exactly when every
+    other input is a subsequence of W: every input's unmerged part then
+    stays a subsequence of W's, so W's head lies in no tail and heads
+    each list holding it, and the head of a list scanned before W lies
+    in W's tail; the scan takes W's head at every step.  W is the list
+    itself when it names every element of the kept MROs (brute-force
+    lists), or the one kept MRO when no other is kept.  Each other
+    input is tested with an ``iter``-based subsequence test, and a
+    failed test falls through to the kernel, which then fails and
+    reports its stuck state as before.
+
+    With a ``counter`` every input is merged and nothing is skipped, so
+    the count is that of the textbook merge.
     """
     if cache is None:
         cache = {}
@@ -303,6 +342,7 @@ def c3_mro(
             inputs = [cache[b] for b in listed]
             inputs.append(listed)
             kept = inputs
+            merged = None
             if counter is None:
                 kept = []
                 seen: set[int] = set()
@@ -310,11 +350,13 @@ def c3_mro(
                     if mro[0] not in seen:
                         kept.append(mro)
                         seen.update(mro)
+                merged = _forced_merge(kept, listed, len(seen))
                 kept.append(listed)
-            size = 1 + max(map(max, kept))
-            merged = merge_kernel(kept, size, counter)
-            if isinstance(merged, MergeFailure) and len(kept) < len(inputs):
-                merged = merge_kernel(inputs, size)
+            if merged is None:
+                size = 1 + max(map(max, kept))
+                merged = merge_kernel(kept, size, counter)
+                if isinstance(merged, MergeFailure) and len(kept) < len(inputs):
+                    merged = merge_kernel(inputs, size)
             if isinstance(merged, MergeFailure):
                 value = MergeFailure(merged.processed, merged.remaining, at=x)
             else:

@@ -23,6 +23,7 @@ from c3control import (
     Poset,
     StepCounter,
     brute_force_assignment,
+    c3_instrumented,
     c3_merge,
     c3_mro,
     check_extended_consistency,
@@ -40,6 +41,8 @@ from conftest import (
     posets_of_size,
     posets_with_extension,
     python_mros,
+    random_extension,
+    random_family,
     reference_merge,
 )
 
@@ -284,20 +287,70 @@ def test_pruned_mro_equals_the_merge_of_every_listed_mro():
     assert failures
 
 
-def test_brute_force_chain_merges_two_lists_per_element(monkeypatch):
-    # Each element lists its whole strict up-set, and MRO(c + 1) already
-    # holds every other listed element.
+def test_brute_force_chain_makes_no_kernel_call(monkeypatch):
+    # Each element lists its whole strict up-set, and MRO(c + 1) is a
+    # subsequence of it, so the merge is forced to the list itself.
     n = 64
     p = Poset(n, [(i, i + 1) for i in range(n - 1)])
-    sizes = []
+    calls = []
 
-    def recording_kernel(seqs, size, counter=None, want=None):
-        sizes.append(len(seqs))
-        return merge_kernel(seqs, size, counter, want)
+    def recording_kernel(*args, **kwargs):
+        calls.append(args)
+        return merge_kernel(*args, **kwargs)
 
     monkeypatch.setattr("c3control.linearize.merge_kernel", recording_kernel)
     assert c3_mro(p, brute_force_assignment(p, range(n)), 0) == tuple(range(n))
-    assert len(sizes) == n - 1 and max(sizes) == 2
+    assert not calls
+
+
+def textbook_mros(p: Poset, assignment) -> dict:
+    """Each element's MRO by the textbook rule, superiors first: the
+    element, then ``reference_merge`` of every listed element's MRO and
+    the list itself.  A failed merge is tagged with its element, and an
+    element listing a failed one takes the first such failure in list
+    order."""
+    out: dict = {}
+    for x in sorted(range(p.n), key=lambda x: p.up_mask(x).bit_count()):
+        listed = assignment[x]
+        failed = [out[b] for b in listed if isinstance(out[b], MergeFailure)]
+        if failed:
+            out[x] = failed[0]
+            continue
+        merged = reference_merge([*(out[b] for b in listed), listed])
+        if isinstance(merged, MergeFailure):
+            out[x] = MergeFailure(merged.processed, merged.remaining, at=x)
+        else:
+            out[x] = (x, *merged)
+    return out
+
+
+def test_c3_mro_matches_the_textbook_mro():
+    # Grown relaxed lists, some missing a cover, and the brute-force,
+    # instrumented and induced lists of a random extension of grown
+    # hierarchies: MROs and failures agree field by field, and the first
+    # two assignments reproduce the extension.
+    cases = []
+    for seed in range(300):
+        cases.append(grown_relaxed_lists(seed))
+    for seed in range(12):
+        rng = random.Random(seed)
+        p = Poset(60, random_family(rng, 60))
+        g = random_extension(p, rng)
+        pos = {x: i for i, x in enumerate(g)}
+        forced = {c: tuple(sorted(p.up_set(c), key=pos.__getitem__)) for c in range(p.n)}
+        for assignment in (brute_force_assignment(p, g), c3_instrumented(p, g).assignment):
+            assert textbook_mros(p, assignment) == forced, seed
+            cases.append((p, assignment))
+        cases.append((p, induced_assignment(p, g)))
+    failures = 0
+    for p, assignment in cases:
+        expected = textbook_mros(p, assignment)
+        cache: dict = {}
+        for c in range(p.n):
+            got = c3_mro(p, assignment, c, cache)
+            assert got == expected[c], (p, assignment, c)
+            failures += isinstance(got, MergeFailure)
+    assert failures
 
 
 # -- validation ---------------------------------------------------------
