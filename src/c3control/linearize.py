@@ -49,8 +49,9 @@ class StepCounter:
     scanning, deterministic and machine independent.  ``merge_kernel``
     tests goodness through tail counts and derives this count only when a
     counter is passed.  ``c3_mro`` given a counter merges the MRO of every
-    listed element, as the textbook merge does, so the count covers the
-    inputs it would otherwise leave out.
+    listed element, as the textbook merge does, and runs the merges whose
+    result is forced, so the count covers the inputs and merges it would
+    otherwise leave out.
     """
 
     comparisons: int = 0
