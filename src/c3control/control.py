@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .errors import InputError, LinearizationFailedError, NotLinearExtensionError
 from .linearize import MergeFailure, StepCounter, c3_mro, merge_kernel
-from .poset import Poset, superiors_first, twin_walk
+from .poset import Poset, superiors_first, twin_walk, walk_automorphisms
 
 
 @dataclass(frozen=True)
@@ -140,43 +140,77 @@ def count_additions_per_extension(p: Poset) -> dict[int, int]:
     of the call.  An element with one cover b inserts nothing, and its
     MRO is ``(x, *MRO(b))``, with no sort and no lookup.
 
+    The walk cuts at a node once every unplaced element has at most one
+    unplaced upper cover.  The unplaced strict superiors of an unplaced
+    element then form a chain, placed in its order after every placed
+    element, so each remaining target, and with it the insertion total,
+    is the same on every extension below the node.  The walk finishes
+    that total along one path, the unplaced elements by ascending up-set
+    size, and ``superiors_first`` counts the extensions cut off.  A
+    per-depth count of the unplaced elements with two or more unplaced
+    upper covers tells when to cut.
+
     The walk runs on the ``poset.twin_walk`` order, which places each
     class of twins (elements with the same upper and lower covers) least
-    id first, and each extension reached is tallied ``weight`` times, the
-    product of the classes' factorials: an automorphism that swaps twins
-    maps an extension's instrumentation onto its image's, insertion
-    counts included.  ``_replay`` still grows the lists from the real
-    covers.
+    id first, and reaches one extension per orbit of the
+    ``poset.walk_automorphisms`` that remain.  Each extension reached is
+    tallied |Aut| times, the twin weight times the order of that group:
+    an automorphism maps an extension's instrumentation onto its
+    image's, insertion counts included.  ``_replay`` and the cut still
+    follow the real covers.
     """
     n = p.n
-    upper = p._upper
+    upper, lower = p._upper, p._lower
     ups = [tuple(y for y in range(n) if y != x and up >> y & 1) for x, up in enumerate(p._up_mask)]
+    up_sizes = [up.bit_count() for up in p._up_mask]
+    last_first = sorted(range(n), key=up_sizes.__getitem__)
+    cover_bits = [sum(1 << a for a in u) for u in upper]
     placed_at = [0] * n
     depth_of = placed_at.__getitem__
     key = lambda x: -placed_at[x]  # later placed is more derived
     totals = [0] * (n + 1)  # totals[d]: insertions made by depths below d
+    placed = [0] * (n + 1)  # placed[d]: the elements placed by depths below d
+    branching = [0] * (n + 1)  # branching[d]: unplaced elements with 2+ unplaced upper covers
+    branching[0] = sum(len(u) > 1 for u in upper)
     mros: list = [None] * n
     memo: dict[tuple[int, ...], int] = {}
     histogram: dict[int, int] = {}
 
-    def place(x: int, depth: int) -> bool:
+    def insertions(x: int, depth: int) -> int:
         covers = upper[x]
-        if len(covers) == 1:
-            mro = (x, *mros[covers[0]])
-            added = 0
-        else:
-            mro = (x, *sorted(ups[x], key=depth_of, reverse=True))
-            added = memo.get(mro)
-            if added is None:
-                added = memo[mro] = len(_replay(covers, mro[1:], mros, key)[1])
-        mros[x] = mro
         placed_at[x] = depth
-        totals[depth + 1] = totals[depth] + added
-        return True
+        if len(covers) == 1:
+            mros[x] = (x, *mros[covers[0]])
+            return 0
+        mro = mros[x] = (x, *sorted(ups[x], key=depth_of, reverse=True))
+        added = memo.get(mro)
+        if added is None:
+            added = memo[mro] = len(_replay(covers, mro[1:], mros, key)[1])
+        return added
 
-    walk_upper, walk_lower, weight = twin_walk(upper, p._lower)
-    for _ in superiors_first(walk_upper, walk_lower, place):
-        histogram[totals[n]] = histogram.get(totals[n], 0) + weight
+    def place(x: int, depth: int) -> bool:
+        total = totals[depth + 1] = totals[depth] + insertions(x, depth)
+        done = placed[depth + 1] = placed[depth] | 1 << x
+        branches = branching[depth]
+        for c in lower[x]:
+            if (cover_bits[c] & ~done).bit_count() == 1:
+                branches -= 1
+        branching[depth + 1] = branches
+        if branches:
+            return True
+        # Every remaining target is fixed: finish along one path.
+        for y in last_first:
+            if not done >> y & 1:
+                depth += 1
+                total += insertions(y, depth)
+        totals[n] = total
+        return False
+
+    walk_upper, walk_lower, weight = twin_walk(upper, lower)
+    symmetries = walk_automorphisms(upper, lower, up_sizes, [d.bit_count() for d in p._down_mask])
+    weight *= len(symmetries) + 1
+    for cut in superiors_first(walk_upper, walk_lower, place, symmetries):
+        histogram[totals[n]] = histogram.get(totals[n], 0) + (cut or 1) * weight
     return dict(sorted(histogram.items()))
 
 

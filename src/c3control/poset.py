@@ -10,6 +10,7 @@ of its strict superiors.
 from __future__ import annotations
 
 from itertools import permutations, product
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -193,12 +194,31 @@ class Poset:
 
     def linear_extension_count(self) -> int:
         """The down-set DP of ``_count_extensions`` on the ``twin_walk``
-        order, which ``superiors_first`` runs when it refuses every first
-        step, times its weight: a class of k twins costs one chain, not
-        2^k down-sets."""
+        order, times its weight, run on each connected component of that
+        order alone; the counts multiply with the multinomial
+        n! / (n_1! ... n_k!) of the components' sizes, the ways to
+        interleave them.  A class of k twins costs one chain, not 2^k
+        down-sets, and k disjoint 2-chains cost k DPs of 3 down-sets, not
+        one of 3^k."""
         walk_upper, walk_lower, weight = twin_walk(self._upper, self._lower)
-        cuts = superiors_first(walk_upper, walk_lower, lambda x, depth: False)
-        return weight * sum(cut or 1 for cut in cuts)  # n = 0 reaches its one extension
+        above = [sum(1 << a for a in u) for u in walk_upper]
+        counts = {0: 1}
+        total = factorial(self.n) * weight
+        seen = 0
+        for first in range(self.n):
+            if seen >> first & 1:
+                continue
+            seen |= 1 << first
+            part = [first]
+            for x in part:  # the list grows as it is read
+                for y in walk_upper[x] + walk_lower[x]:
+                    if not seen >> y & 1:
+                        seen |= 1 << y
+                        part.append(y)
+            mask = sum(1 << x for x in part)
+            top = sum(1 << x for x in part if not walk_upper[x])
+            total = total * _count_extensions(mask, top, above, walk_lower, counts) // factorial(len(part))
+        return total
 
     def antichains(self) -> Iterator[tuple[int, ...]]:
         """All antichains (as sorted id tuples), the empty one included,
@@ -296,21 +316,7 @@ def canonical_key(upper, lower, up_mask, down_mask) -> tuple[bytes, int]:
     if n > 255:
         raise ValueError("canonical_form supports at most 255 elements")
 
-    color = _rank(list(zip(
-        map(len, upper), map(len, lower), map(int.bit_count, up_mask), map(int.bit_count, down_mask)
-    )))
-    while max(color) < n - 1:  # a discrete partition refines no further
-        col = color.__getitem__
-        sig2 = zip(
-            color,
-            [tuple(sorted(map(col, u))) for u in upper],
-            [tuple(sorted(map(col, d))) for d in lower],
-        )
-        color2 = _rank(list(sig2))
-        if color2 == color:
-            break
-        color = color2
-
+    color = _refine(upper, lower, map(int.bit_count, up_mask), map(int.bit_count, down_mask))
     covers = [(c, a) for c in range(n) for a in upper[c]]
     cells: dict[int, list[int]] = {}
     for x in range(n):
@@ -350,7 +356,7 @@ def canonical_key(upper, lower, up_mask, down_mask) -> tuple[bytes, int]:
     return bytes(out), ties
 
 
-def superiors_first(upper, lower, step) -> Iterator[int]:
+def superiors_first(upper, lower, step, automorphisms=()) -> Iterator[int]:
     """Walk the linear extensions of the order on ``0..n-1`` with upper
     cover lists ``upper`` and lower cover lists ``lower``, superiors
     first: each node places a ready element, one whose upper covers, and
@@ -362,6 +368,23 @@ def superiors_first(upper, lower, step) -> Iterator[int]:
     ready ones, and of those the ones still to try.  Placing x leaves the
     ready set without x, plus each lower cover of x whose upper covers
     are now all placed.
+
+    ``automorphisms``, permutations of the ids other than the identity
+    that form a group with it and preserve the order, restrict the walk
+    to the least extension, as a sequence of placed ids, of each orbit
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 1998).
+    The group acts freely on the extensions, so every orbit has as many
+    members as the group.  Each depth keeps the automorphisms that fix
+    its placed prefix pointwise.  A node whose element x one of them
+    maps below x starts only extensions that the automorphism makes
+    smaller, and is skipped without a step; one that maps x above x
+    makes every extension below the node smaller than its image and is
+    dropped.  The kept automorphisms and the identity act freely on the
+    extensions below a node, and the least of each of their orbits is
+    least in its whole orbit, so a cut yields the count of extensions
+    cut off divided by one more than the number kept.  The walk reaches
+    the orbits' least members in the order in which it reaches them
+    without ``automorphisms``.
     """
     n = len(upper)
     if not n:
@@ -371,6 +394,10 @@ def superiors_first(upper, lower, step) -> Iterator[int]:
     todo = [0] * n
     ready = [0] * n
     left = [0] * n
+    # kept[d]: the automorphisms that fix the elements placed above
+    # depth d; with none at all it is empty, and a node tests only that.
+    kept = [tuple(automorphisms)] + [()] * (n - 1) if automorphisms else []
+    keep = ()
     todo[0] = (1 << n) - 1
     ready[0] = left[0] = sum(1 << x for x in range(n) if not upper[x])
     counts = {0: 1}
@@ -383,19 +410,27 @@ def superiors_first(upper, lower, step) -> Iterator[int]:
         bit = m & -m
         left[depth] = m ^ bit
         x = bit.bit_length() - 1
+        if kept:
+            keep = kept[depth]
+            if keep:
+                if min([s[x] for s in keep]) < x:
+                    continue
+                keep = [s for s in keep if s[x] == x]
         rest = todo[depth] ^ bit
         top = ready[depth] ^ bit
         for c in lower[x]:
             if not above[c] & rest:
                 top |= 1 << c
         if not step(x, depth):
-            yield _count_extensions(rest, top, above, lower, counts)
+            yield _count_extensions(rest, top, above, lower, counts) // (len(keep) + 1)
         elif not rest:
             yield 0
         else:
             depth += 1
             todo[depth] = rest
             ready[depth] = left[depth] = top
+            if kept:
+                kept[depth] = keep
 
 
 def twin_walk(upper, lower) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], int]:
@@ -414,7 +449,9 @@ def twin_walk(upper, lower) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]
     lower list gains the larger twin.  Both walks take the least ready id
     first, so the walk of the chained order visits a subsequence of the
     extensions that ``superiors_first`` reaches on ``upper`` and
-    ``lower``, in the same order.
+    ``lower``, in the same order.  ``walk_automorphisms`` gives the
+    automorphisms that remain, those of the chained order, which the
+    walk can take as well.
     """
     walk_upper = list(map(tuple, upper))
     walk_lower = list(map(tuple, lower))
@@ -431,6 +468,75 @@ def twin_walk(upper, lower) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]
         else:
             last[key] = x, 1
     return walk_upper, walk_lower, weight
+
+
+def walk_automorphisms(upper, lower, up_sizes, down_sizes) -> list[tuple[int, ...]]:
+    """The automorphisms, other than the identity, of the order with the
+    given cover lists and up-/down-set sizes that keep each class of
+    twins in ascending id order, each as the tuple of its images.
+
+    With the identity they form a group R that preserves the chained
+    order of ``twin_walk`` and can be passed to ``superiors_first``.
+    Every automorphism is one of R followed by a permutation of twins
+    within their classes, in exactly one way, so |R| times the twin
+    weight is the order of the automorphism group.  An element of R maps
+    each twin class onto a class of the same size, its i-th least member
+    to the image's i-th least, so it is fixed by where it sends the
+    classes' least members.  These are mapped by backtracking, in
+    ascending id order, each to the least member of a class of the same
+    size in its cell of the refinement ``canonical_key`` uses, which
+    every automorphism preserves; a candidate must keep every cover to
+    an element already mapped.  A class that is the only one of its size
+    in its cell is fixed.
+    """
+    n = len(upper)
+    if not n:
+        return []
+    color = _refine(upper, lower, up_sizes, down_sizes)
+    classes: dict = {}
+    for x in range(n):
+        classes.setdefault((frozenset(upper[x]), frozenset(lower[x])), []).append(x)
+    kinds: dict = {}  # (cell, class size) -> its classes
+    for c in classes.values():
+        kinds.setdefault((color[c[0]], len(c)), []).append(c)
+    free = sorted(c for kind in kinds.values() if len(kind) > 1 for c in kind)
+    if not free:
+        return []
+    options = [kinds[color[c[0]], len(c)] for c in free]
+    up_bits = [sum(1 << a for a in u) for u in upper]
+    down_bits = [sum(1 << c for c in d) for d in lower]
+    image = list(range(n))
+    for c in free:
+        for y in c:
+            image[y] = -1  # not mapped yet
+    identity = list(range(n))
+    found = []
+    taken: set[int] = set()
+    tries = [iter(options[0])]
+    while tries:
+        c = free[len(tries) - 1]
+        x = c[0]
+        if image[x] >= 0:  # release the last candidate
+            taken.discard(image[x])
+            for y in c:
+                image[y] = -1
+        for d in tries[-1]:
+            z = d[0]
+            if z not in taken and all(
+                image[a] < 0 or up_bits[z] >> image[a] & 1 for a in upper[x]
+            ) and all(image[b] < 0 or down_bits[z] >> image[b] & 1 for b in lower[x]):
+                break
+        else:
+            tries.pop()
+            continue
+        taken.add(z)
+        for y, w in zip(c, d):
+            image[y] = w
+        if len(tries) < len(free):
+            tries.append(iter(options[len(tries)]))
+        elif image != identity:
+            found.append(tuple(image))
+    return found
 
 
 def _count_extensions(mask: int, top: int, above: Sequence[int], lower, counts) -> int:
@@ -479,6 +585,29 @@ def _closure(order: Iterable[int], neigh) -> tuple[int, ...]:
             m |= mask[y]
         mask[x] = m
     return tuple(mask)
+
+
+def _refine(upper, lower, up_sizes, down_sizes) -> list[int]:
+    """Each element's cell in the iterated partition refinement of the
+    order with the given cover lists and up-/down-set sizes: cells start
+    from the cover counts and set sizes and split on the sorted cells of
+    the upper and the lower covers until they are stable.  Cells are
+    numbered by rank of their signature, so every automorphism maps each
+    element into its own cell."""
+    n = len(upper)
+    color = _rank(list(zip(map(len, upper), map(len, lower), up_sizes, down_sizes)))
+    while max(color) < n - 1:  # a discrete partition refines no further
+        col = color.__getitem__
+        sig2 = zip(
+            color,
+            [tuple(sorted(map(col, u))) for u in upper],
+            [tuple(sorted(map(col, d))) for d in lower],
+        )
+        color2 = _rank(list(sig2))
+        if color2 == color:
+            break
+        color = color2
+    return color
 
 
 def _rank(signatures: list) -> list[int]:

@@ -10,7 +10,9 @@ other lists' tails, the oracle for ``merge_kernel``.  ``natural_poset``,
 ``random_posets`` and the ``hypothesis`` strategy
 ``posets_with_extension`` draw random posets for the differential and
 property tests, and ``add_twins`` and ``twin_posets`` give posets with
-twins, elements with the same upper and lower covers; ``random_family``
+twins, elements with the same upper and lower covers; ``symmetric_posets``
+gives posets with other automorphisms and posets whose lower part is a
+forest; ``random_family``
 grows a large hierarchy class by class, ``grown_relaxed_lists`` grows
 one with shuffled relaxed precedence lists, and ``random_extension``
 draws a seeded linear extension of it.  ``recursive_linear_extensions``, the recursive
@@ -126,6 +128,40 @@ def twin_posets() -> list[Poset]:
         if sum(1 for _ in islice(q.linear_extensions(), 2001)) <= 2000:
             posets.append(q)
     return posets
+
+
+def symmetric_posets() -> list[Poset]:
+    """Posets with automorphisms beyond twin swaps, randomly relabeled:
+    2 to 4 disjoint 2-chains (4 have 24 automorphisms and no twins), two
+    disjoint N-shaped posets and the Boolean lattice on three atoms; and
+    posets whose lower part is a forest, each element below the top
+    having one upper cover: the complete binary tree on 7 elements, two
+    disjoint V-shaped trees, H's upper part with one element under E1,
+    and seeded random tops of 3 to 5 elements with 2 to 4 tree elements
+    hung below them, at most 1,500 extensions each."""
+    rng = random.Random(43)
+
+    def copies(k: int, m: int, covers) -> Poset:
+        return Poset(k * m, [(i * m + c, i * m + a) for i in range(k) for c, a in covers])
+
+    posets = [copies(k, 2, [(0, 1)]) for k in (2, 3, 4)]
+    posets.append(copies(2, 4, [(0, 2), (1, 2), (1, 3)]))
+    atoms = [(1, 0), (2, 0), (3, 0), (4, 1), (4, 2), (5, 1), (5, 3), (6, 2), (6, 3)]
+    posets.append(Poset(8, [*atoms, (7, 4), (7, 5), (7, 6)]))
+    posets += [Poset(7, [(1, 0), (2, 0), (3, 1), (4, 1), (5, 2), (6, 2)]), copies(2, 3, [(1, 0), (2, 0)])]
+    h_upper = poset_h().restrict(range(9))
+    posets.append(Poset(10, [*h_upper.covers, (9, h_upper.id_of("E1"))]))
+    while len(posets) < 14:
+        (top,) = random_posets(seed=rng.random(), count=1, sizes=range(3, 6), max_extensions=20)
+        covers = list(top.covers)
+        n = top.n
+        for _ in range(rng.randint(2, 4)):
+            covers.append((n, rng.randrange(n)))
+            n += 1
+        p = Poset(n, covers)
+        if sum(1 for _ in islice(p.linear_extensions(), 1501)) <= 1500:
+            posets.append(p)
+    return [p.relabel(rng.sample(range(p.n), p.n)) for p in posets]
 
 
 def random_family(rng: random.Random, size: int) -> list[tuple[int, int]]:

@@ -24,6 +24,7 @@ from c3control import (
     poset_h,
 )
 from c3control.linearize import merge_kernel
+from c3control.poset import superiors_first
 
 from conftest import (
     posets_of_size,
@@ -33,6 +34,7 @@ from conftest import (
     random_family,
     random_posets,
     reference_merge,
+    symmetric_posets,
     twin_posets,
 )
 
@@ -233,19 +235,46 @@ def tally_additions(p: Poset) -> dict[int, int]:
 def test_additions_histogram_small():
     # The superiors-first walk with its (element, target) memo must agree
     # with an independent per-extension tally of c3_instrumented.  The
-    # walk reaches one extension per orbit of twin swaps and tallies it
-    # once per member, so the cases include posets with twins.
+    # walk reaches one extension per orbit of the automorphism group and
+    # tallies it once per member, so the cases include posets with twins
+    # and with other symmetries.  It cuts where the remaining targets are
+    # fixed, as on posets whose lower part is a forest.
     h = poset_h()
     cases = [p for k in range(7) for p in posets_of_size(k)]
     cases += [h, h.relabel(random.Random(5).sample(range(h.n), h.n))]
     cases += random_posets(seed=11, count=20, sizes=range(8, 12), max_extensions=1500)
-    cases += twin_posets()
+    cases += twin_posets() + symmetric_posets()
     for p in cases:
         histogram = count_additions_per_extension(p)
         assert histogram == tally_additions(p), p
         assert list(histogram) == sorted(histogram)
     assert count_additions_per_extension(Poset(0, ())) == {0: 1}
     assert count_additions_per_extension(h) == {1: 36, 2: 108, 3: 180, 4: 216, 5: 180}
+
+
+def test_work_of_the_histogram_on_h(monkeypatch):
+    # Machine-independent work counts.  H's automorphism group has order
+    # 6 and H has no twins, so the walk reaches 120 of the 720
+    # extensions, and cuts once every remaining target is fixed.  A walk
+    # over every extension, memoised alike, took 750 kernel calls.
+    calls = []
+    walked = []
+
+    def counting_kernel(*args, **kwargs):
+        calls.append(args)
+        return merge_kernel(*args, **kwargs)
+
+    def recording_walk(*args):
+        for cut in superiors_first(*args):
+            walked.append(cut)
+            yield cut
+
+    monkeypatch.setattr("c3control.control.merge_kernel", counting_kernel)
+    monkeypatch.setattr("c3control.control.superiors_first", recording_walk)
+    assert count_additions_per_extension(poset_h()) == {1: 36, 2: 108, 3: 180, 4: 216, 5: 180}
+    assert len(calls) == 127
+    assert sum(cut or 1 for cut in walked) == 120
+    assert 0 not in walked
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

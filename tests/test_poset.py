@@ -19,13 +19,15 @@ from c3control import (
     Poset,
     poset_h,
 )
-from c3control.poset import superiors_first, twin_walk
+from c3control.poset import canonical_key, superiors_first, twin_walk, walk_automorphisms
+from c3control.search import iso_classes
 
 from conftest import (
     natural_poset,
     posets_of_size,
     posets_with_extension,
     recursive_linear_extensions,
+    symmetric_posets,
     twin_posets,
 )
 
@@ -186,6 +188,15 @@ def test_linear_extension_count_of_a_wide_antichain_is_fast():
     assert time.perf_counter() - start < 1
 
 
+def test_linear_extension_count_of_disjoint_chains_is_fast():
+    # 13 disjoint 2-chains have 3^13 down-sets; counted one component at
+    # a time and interleaved by the multinomial, they take far less.
+    p = Poset(26, [(2 * i, 2 * i + 1) for i in range(13)])
+    start = time.perf_counter()
+    assert p.linear_extension_count() == math.factorial(26) // 2**13
+    assert time.perf_counter() - start < 0.5
+
+
 def test_linear_extension_count_matches_the_down_set_dp():
     # The twin-chained count times its weight against the DP on the
     # order itself, and against the listing on posets with twins.
@@ -197,13 +208,45 @@ def test_linear_extension_count_matches_the_down_set_dp():
         p = natural_poset(n, pairs).relabel(rng.sample(range(n), n))
         # Refusing every first step counts each subtree by the DP.
         assert p.linear_extension_count() == walk(p, {(x, 0) for x in range(n)})[1]
-    for p in twin_posets():
+    for p in twin_posets() + symmetric_posets():
         assert p.linear_extension_count() == sum(1 for _ in p.linear_extensions())
 
 
 def walk_inputs(p: Poset):
     """Upper and lower cover lists of ``p``, by id."""
     return [p.upper_covers(x) for x in range(p.n)], [p.lower_covers(x) for x in range(p.n)]
+
+
+def walk_group(p: Poset) -> list[tuple[int, ...]]:
+    """``walk_automorphisms`` of ``p``."""
+    up_sizes = [len(p.up_set(x)) for x in range(p.n)]
+    down_sizes = [sum(p.leq(y, x) for y in range(p.n)) for x in range(p.n)]
+    return walk_automorphisms(*walk_inputs(p), up_sizes, down_sizes)
+
+
+def test_walk_automorphisms_times_twin_weight_is_the_automorphism_count():
+    # Every automorphism is one of the group that keeps each twin class
+    # in ascending id order, then a permutation of twins within their
+    # classes: on every class with n <= 7, on H and on posets with twins
+    # and with other symmetries.
+    h = poset_h()
+    posets = [Poset.from_canonical_key(key) for n in range(8) for key, _ in iso_classes(n)]
+    posets += [h, *twin_posets(), *symmetric_posets()]
+    for p in posets:
+        upper, lower = walk_inputs(p)
+        walk_upper, _, weight = twin_walk(upper, lower)
+        # each larger twin and its next smaller one
+        twins = [(w[-1], x) for x, (w, u) in enumerate(zip(walk_upper, upper)) if len(w) > len(u)]
+        found = walk_group(p)
+        assert tuple(range(p.n)) not in found and len(set(found)) == len(found)
+        for s in found:
+            assert {(s[c], s[a]) for c, a in p.covers} == p.covers
+            assert all(s[x] < s[y] for x, y in twins)
+        automorphisms = canonical_key(upper, lower, p._up_mask, p._down_mask)[1]
+        assert (len(found) + 1) * weight == automorphisms, p
+    assert len(walk_group(h)) + 1 == 6
+    assert len(walk_group(Poset(8, [(0, 1), (2, 3), (4, 5), (6, 7)]))) + 1 == 24
+    assert walk_group(Poset(7, [])) == [] and walk_group(Poset(0, [])) == []
 
 
 def test_twin_walk_leaves_a_twin_free_order_alone():
@@ -241,11 +284,43 @@ def test_twin_walk_reaches_one_extension_per_orbit():
         assert len(ordered) * weight == total
 
 
-def walk(p: Poset, refused, upper=None, lower=None) -> tuple[list[tuple[int, ...]], int]:
+def test_orbit_walk_reaches_the_least_extension_of_each_orbit():
+    # With walk_automorphisms the walk of the chained order reaches, in
+    # its own order, exactly the chained extensions whose placement
+    # sequence is the least of its orbit: |R| times fewer.  Refused steps
+    # cut off counts that add up to the same number of orbits.
+    h = poset_h()
+    posets = [Poset.from_canonical_key(key) for n in range(6) for key, _ in iso_classes(n)]
+    posets += [h, h.restrict(range(9)), *twin_posets(), *symmetric_posets()]
+    rng = random.Random(41)
+    for p in posets:
+        upper, lower = walk_inputs(p)
+        walk_upper, walk_lower, _ = twin_walk(upper, lower)
+        group = walk_group(p)
+        chained, total = walk(p, set(), walk_upper, walk_lower)
+        least = [
+            g for g in chained
+            if all(tuple(s[x] for x in reversed(g)) > g[::-1] for s in group)
+        ]
+        assert len(least) * (len(group) + 1) == total
+        orbits = total // (len(group) + 1)
+        assert walk(p, set(), walk_upper, walk_lower, group) == (least, orbits)
+        for refused in (
+            {(x, 0) for x in range(p.n)},
+            {(x, 1) for x in range(p.n)},
+            {(rng.randrange(p.n), rng.randrange(p.n)) for _ in range(3)} if p.n else set(),
+        ):
+            assert walk(p, refused, walk_upper, walk_lower, group)[1] == orbits
+    group = walk_group(h)
+    assert len(walk(h, set(), *walk_inputs(h), group)[0]) == 120
+
+
+def walk(p: Poset, refused, upper=None, lower=None, automorphisms=()) -> tuple[list[tuple[int, ...]], int]:
     """The extensions that ``superiors_first`` reaches on ``p``, or on
     the order given by ``upper`` and ``lower``, most derived first,
     and its leaves plus cut-off counts, with a step that refuses the
-    (element, depth) pairs in ``refused``."""
+    (element, depth) pairs in ``refused``; ``automorphisms`` go to the
+    walk."""
     if upper is None:
         upper, lower = walk_inputs(p)
     placed = [0] * p.n
@@ -257,7 +332,7 @@ def walk(p: Poset, refused, upper=None, lower=None) -> tuple[list[tuple[int, ...
         return accepted[0]
 
     leaves, total = [], 0
-    for cut in superiors_first(upper, lower, step):
+    for cut in superiors_first(upper, lower, step, automorphisms):
         if accepted[0]:
             assert cut == 0
             leaves.append(tuple(reversed(placed)))

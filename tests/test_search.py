@@ -31,7 +31,14 @@ from c3control import search
 from c3control.poset import canonical_key
 from c3control.search import _c3_all_fail_counts, iso_classes, screen_infeasible
 
-from conftest import natural_poset, posets_of_size, python_mros, random_posets, twin_posets
+from conftest import (
+    natural_poset,
+    posets_of_size,
+    python_mros,
+    random_posets,
+    symmetric_posets,
+    twin_posets,
+)
 
 LABELED = [1, 1, 2, 7, 40, 357]
 ISO = [1, 1, 2, 5, 16, 63]
@@ -139,18 +146,20 @@ def test_run_experiment_against_direct_c3(h_upper):
     # per-extension c3_mro.  Its merges are keyed on their input MROs; a
     # coarser key (the cover ids, or the element alone) reuses merges
     # whose inputs differ and miscounts some of these posets.  It places
-    # each class of twins least id first and weighs each extension it
-    # reaches by the product of the classes' factorials; the posets with
-    # twins fail on no, some and every extension.
+    # one extension per orbit of the automorphism group and weighs each
+    # by the group's order; the posets with twins fail on no, some and
+    # every extension, and the symmetric posets have automorphisms
+    # beyond twin swaps.  run_experiment passes the order it takes from
+    # the canonical key.
     small = [p for n in range(6) for p in posets_of_size(n)]
     larger = [h_upper, h_upper.relabel(random.Random(7).sample(range(9), 9))]
     larger += random_posets(seed=13, count=20, sizes=range(8, 11), max_extensions=1500)
-    larger += twin_posets()
+    larger += twin_posets() + symmetric_posets()
     for p in small + larger:
         exts, fails = direct_c3_counts(p)
         assert _c3_all_fail_counts(p) == (exts, fails)
         assert _c3_all_fail_counts(p, screen=True) == (None if fails < exts else (exts, fails))
-    for p in small:
+    for p in small + symmetric_posets():
         record = run_experiment(p)
         assert (record.extension_count, record.failure_count) == _c3_all_fail_counts(p)
         assert record.labeled_count == 1
@@ -267,7 +276,7 @@ def test_n9_has_one_infeasible_class_h_minus_f(h_upper):
     # The paper's result: of the 183,231 isomorphism classes of posets on
     # 9 elements (OEIS A000112), exactly one admits no induced assignment
     # on which C3 succeeds at an adjoined bottom: H without its bottom F.
-    # About 35 s on one CPU of a 2-core x86-64 machine, 15 s of it
+    # About 14 s on one CPU of a 2-core x86-64 machine, 5.4 s of it
     # generating the classes.
     start = time.perf_counter()
     classes = iso_classes(9, allow_large=True)
